@@ -86,13 +86,14 @@ def _register_builtins() -> None:
         _plugins.register_target(TARGET_NAME, create_thor_target)
     if STACK_TARGET_NAME not in _plugins.registered_targets():
         _plugins.register_target(STACK_TARGET_NAME, create_stack_target)
-    technique_methods = {
-        "scifi": "fault_injector_scifi",
-        "swifi_preruntime": "fault_injector_swifi_preruntime",
-        "swifi_runtime": "fault_injector_swifi_runtime",
-        "pinlevel": "fault_injector_pinlevel",
+    # Pin-level injection is the SCIFI body on the boundary scan chain.
+    technique_bodies = {
+        "scifi": "_run_scifi_experiment",
+        "swifi_preruntime": "_run_swifi_preruntime_experiment",
+        "swifi_runtime": "_run_swifi_runtime_experiment",
+        "pinlevel": "_run_scifi_experiment",
     }
-    for name, method in technique_methods.items():
+    for name, method in technique_bodies.items():
         if name not in _plugins.registered_techniques():
             _plugins.register_technique(name, method)
     environments = {"dc_motor": DCMotor, "water_tank": WaterTank}

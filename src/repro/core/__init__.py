@@ -5,6 +5,7 @@ the pre-injection analysis."""
 from .algorithms import (
     CampaignResult,
     FaultInjectionAlgorithms,
+    InlineExecutor,
     register_target_system,
     store_campaign,
 )
@@ -105,7 +106,7 @@ from .packs import (
     replay_function,
     save_pack,
 )
-from .parallel import ParallelCampaignRunner, WorkerFailure
+from .parallel import ProcessExecutor, WorkerFailure
 from .preinjection import LivenessAnalysis, PreInjectionFilter
 from .probes import (
     DEFAULT_PROBE_PERIOD,

@@ -1,28 +1,39 @@
 """The fault-injection algorithms (paper Figure 2).
 
-``FaultInjectionAlgorithms`` holds the generic campaign algorithms,
+``FaultInjectionAlgorithms`` holds the generic campaign algorithm,
 written exclusively against the abstract building blocks of
 :class:`repro.core.framework.TargetSystemInterface` — the paper's
 central design idea: "By combining different abstract methods we can
 define algorithms for fault injection techniques such as SCIFI, SWIFI
 or pin level fault injection."
 
-Three techniques are implemented:
+Every technique runs through one campaign pipeline
+(:meth:`FaultInjectionAlgorithms.run_campaign`): read campaign data,
+make a reference run, generate (and optionally prune) the experiment
+plan, then hand the experiments to an executor and log what comes
+back.  A technique contributes only its per-experiment body, registered
+by method name (:func:`repro.core.plugins.register_technique`):
 
-``fault_injector_scifi``
-    The paper's main algorithm, step for step: read campaign data, make
-    a reference run, then per experiment: init test card, load workload,
-    write memory, run workload, wait for breakpoint, read scan chain,
-    inject fault, write scan chain, wait for termination, read memory,
-    read scan chain.
-``fault_injector_swifi_preruntime``
+``_run_scifi_experiment``
+    The paper's main algorithm, step for step: init test card, load
+    workload, write memory, run workload, wait for breakpoint, read
+    scan chain, inject fault, write scan chain, wait for termination,
+    read memory, read scan chain.  Pin-level injection reuses it on the
+    boundary scan chain.
+``_run_swifi_preruntime_experiment``
     "Faults are injected into the program and data areas of the target
     system before it starts to execute": flip memory-image bits through
     the host link, then run to termination.
-``fault_injector_swifi_runtime``
+``_run_swifi_runtime_experiment``
     The future-work runtime SWIFI, realised debugger-style: stop at the
     trigger, corrupt memory or an architecturally visible register, and
     resume.
+
+Two executors run the experiments: :class:`InlineExecutor` in this
+process, and :class:`repro.core.parallel.ProcessExecutor` in worker
+processes (``workers > 1``).  Both deliver one result per experiment to
+the same coordinator ingest, so logged rows and event streams do not
+depend on which one ran.
 
 Each experiment's outcome is logged to the ``LoggedSystemState`` table;
 "in normal mode, the system state is logged only when the termination
@@ -33,6 +44,7 @@ of each machine instruction."
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -49,10 +61,6 @@ from ..db import (
 )
 from .campaign import (
     LOGGING_DETAIL,
-    TECHNIQUE_PINLEVEL,
-    TECHNIQUE_SCIFI,
-    TECHNIQUE_SWIFI_PRERUNTIME,
-    TECHNIQUE_SWIFI_RUNTIME,
     CampaignConfig,
     ExperimentSpec,
     PlanGenerator,
@@ -79,10 +87,15 @@ from .liveness import (
 )
 from .locations import KIND_MEMORY, KIND_SCAN
 from .plugins import create_environment, technique_method
-from .probes import ProbeConfig, ProbeSession, resolve_probes
+from .probes import ProbeConfig, ProbeSession, capture_golden_snapshots, resolve_probes
 from .profiling import ProfileCollector, merge_profile_stats, profile_summary
 from .progress import ProgressReporter
-from .resources import ResourceConfig, ResourceSampler, resolve_resources
+from .resources import (
+    COORDINATOR_WORKER,
+    ResourceConfig,
+    ResourceSampler,
+    resolve_resources,
+)
 from .telemetry import (
     MODE_METRICS,
     NULL_SPAN,
@@ -93,6 +106,9 @@ from .telemetry import (
 from .triggers import ReferenceTrace
 
 logger = logging.getLogger(__name__)
+
+#: Experiment rows per database write.
+BATCH_SIZE = 64
 
 
 @dataclass(slots=True)
@@ -105,7 +121,8 @@ class CampaignResult:
     aborted: bool
     elapsed_seconds: float
     #: Checkpoint-cache counters (saves/restores/misses/evictions) when
-    #: the run used checkpointing; ``None`` otherwise.
+    #: the run used checkpointing, summed over every worker; ``None``
+    #: otherwise.
     checkpoint_stats: dict | None = None
     #: Final :class:`~repro.core.telemetry.MetricsRegistry` snapshot when
     #: the run was telemetered; ``None`` otherwise.
@@ -122,27 +139,198 @@ class CampaignResult:
     resource_samples: int | None = None
 
 
-def emit_pruned_events(bus, campaign_name: str, prune_plan, total: int) -> None:
-    """One ``experiment_finished`` event per experiment the liveness
-    classifier skipped (already logged up front from its synthesised
-    row).  Shared by the serial loop and the parallel coordinator, so
-    streams are identical for any worker count.  Pruned experiments
-    never run: their events carry ``pruned: true`` and a ``null``
-    run-progress counter."""
-    for record in prune_plan.upfront_records():
-        bus.emit(
-            "experiment_finished",
-            campaign=campaign_name,
-            experiment=record.experiment_name,
-            outcome=record.state_vector["termination"]["outcome"],
-            completed=None,
-            total=total,
-            elapsed_seconds=None,
-            rate=None,
-            eta_seconds=None,
-            pruned=True,
-            spot_check=False,
-            worker=0,
+def fold_engine_stats(metrics, target: TargetSystemInterface) -> None:
+    """Add ``target``'s execution-engine counters to a telemetry
+    registry as ``engine.*`` counters."""
+    for key, value in target.execution_stats().items():
+        if key != "cycles":  # point-in-time, not a counter — summing it lies
+            metrics.inc(f"engine.{key}", value)
+
+
+class _Ingest:
+    """The coordinator's one ingest path, shared by both executors.
+
+    Every finished experiment arrives as one result — its record plus
+    the span records, probe summaries and resource samples gathered
+    with it — and every shard closes with one shard-end summary.  Here
+    the spot-check sample is verified, rows and their side records are
+    batched into the database, progress is reported, and
+    ``experiment_finished`` events are released in plan order, so the
+    stream does not depend on the worker count.
+    """
+
+    def __init__(self, algorithms, config: CampaignConfig, specs, prune_plan):
+        self.db: GoofiDatabase = algorithms.db
+        self.tele = algorithms.telemetry
+        self.bus = algorithms.events
+        self.progress: ProgressReporter = algorithms.progress
+        self.campaign = config.name
+        self.prune_plan: PrunePlan | None = prune_plan
+        self.completed = 0
+        self.samples_seen = 0
+        self.profiles: list[dict] = []
+        self.checkpoint_stats: dict | None = None
+        self.rows: list[ExperimentRecord] = []
+        self.spans: list[SpanRecord] = []
+        self.probes: list[ProbeRecord] = []
+        self.samples: list[ResourceSampleRecord] = []
+        # Workers finish experiments in wall-clock order; events wait
+        # here by plan position and release as an in-order prefix.
+        self._order = {spec.name: index for index, spec in enumerate(specs)}
+        self._held: dict[int, tuple] = {}
+        self._next = 0
+        self._released = 0
+
+    def result(self, worker: int, record, spans, probes, samples) -> None:
+        """Ingest one finished experiment run by ``worker``."""
+        name = record.experiment_name
+        prune_plan = self.prune_plan
+        spot_checked = prune_plan is not None and name in prune_plan.spot_checks
+        if spot_checked:
+            # Hard-fails with PruneDivergence on mismatch; the confirmed
+            # synthesised row (pruned flag set) is what gets logged.
+            record = prune_plan.verify_spot_check(name, record)
+        self.rows.append(record)
+        self.completed += 1
+        event = self.progress.experiment_done(
+            name, record.state_vector["termination"]["outcome"]
+        )
+        bus = self.bus
+        if bus.enabled:
+            self._held[self._order[name]] = (event, record.pruned, spot_checked, worker)
+            while self._next in self._held:
+                self._release(self._held.pop(self._next))
+                self._next += 1
+        campaign = self.campaign
+        for span in spans:
+            # Lane annotation for the trace export.
+            span.setdefault("worker", worker)
+            # Phase-span events reuse the telemetry record verbatim as
+            # their payload — the stream and the ExperimentSpan table
+            # speak the same dialect.
+            bus.emit("span", campaign=campaign, worker=span["worker"], span=span)
+            self.spans.append(
+                SpanRecord(
+                    experiment_name=span["experiment"],
+                    campaign_name=campaign,
+                    span=span,
+                )
+            )
+        for probe in probes or ():
+            self.probes.append(
+                ProbeRecord(
+                    experiment_name=probe["experiment"],
+                    campaign_name=campaign,
+                    probe=probe,
+                )
+            )
+        if samples:
+            self.add_samples(samples)
+        if len(self.rows) >= BATCH_SIZE:
+            self.flush()
+
+    def _release(self, held: tuple) -> None:
+        event, pruned, spot_check, worker = held
+        self._released += 1
+        self.bus.experiment_finished(
+            event,
+            pruned=pruned,
+            spot_check=spot_check,
+            worker=worker,
+            completed=self._released,
+        )
+
+    def release_held(self) -> None:
+        """Release every held event in plan order — after an abort some
+        never see their in-order predecessors arrive, and the recording
+        must still account for every logged experiment."""
+        for index in sorted(self._held):
+            self._release(self._held.pop(index))
+
+    def add_samples(self, samples: list[dict]) -> None:
+        """Queue resource samples for the next flush, emitting their
+        events on arrival — resource timelines are wall-clock
+        observations with no plan order to restore."""
+        self.samples_seen += len(samples)
+        for sample in samples:
+            self.bus.emit(
+                "resource_sample",
+                campaign=self.campaign,
+                worker=sample["worker"],
+                sample=sample,
+            )
+            self.samples.append(
+                ResourceSampleRecord(
+                    campaign_name=self.campaign, sample=sample, worker=sample["worker"]
+                )
+            )
+
+    def shard_end(self, end: dict) -> None:
+        """Fold one shard's closing summary into the campaign's."""
+        if end.get("metrics"):
+            self.tele.metrics.merge(end["metrics"])
+        if end["profile"] is not None:
+            self.profiles.append(end["profile"])
+        stats = end["checkpoint"]
+        if stats is not None:
+            total = self.checkpoint_stats or dict.fromkeys(stats, 0)
+            self.checkpoint_stats = {
+                key: total[key] + value for key, value in stats.items()
+            }
+        if end.get("samples"):
+            self.add_samples(end["samples"])
+
+    def flush(self) -> None:
+        """Write the batched rows and their span, probe and resource
+        records, timing the write when telemetry is on."""
+        if not (self.rows or self.spans or self.probes or self.samples):
+            return
+        db = self.db
+        started = time.perf_counter()
+        if self.rows:
+            db.save_experiments(self.rows)
+        if self.spans:
+            db.save_spans(self.spans)
+        if self.probes:
+            db.save_probes(self.probes)
+        if self.samples:
+            db.save_resource_samples(self.samples)
+        if self.tele.enabled:
+            elapsed = time.perf_counter() - started
+            metrics = self.tele.metrics
+            metrics.add_time("phase.db_write", elapsed)
+            metrics.observe("db.batch_seconds", elapsed)
+            metrics.inc("db.rows", len(self.rows))
+            metrics.inc("db.batches")
+        self.rows, self.spans, self.probes, self.samples = [], [], [], []
+
+
+class InlineExecutor:
+    """Runs a campaign's experiments in this process, one after another
+    — the paper's serial campaign loop."""
+
+    workers = 1
+
+    def __init__(self, algorithms, sampler: ResourceSampler | None) -> None:
+        self.algorithms = algorithms
+        self.sampler = sampler
+
+    def run(
+        self, config, specs, trace, golden, checkpoints: bool, ingest: _Ingest
+    ) -> None:
+        algorithms = self.algorithms
+        progress = algorithms.progress
+        ingest.shard_end(
+            algorithms.run_shard(
+                config,
+                specs,
+                trace,
+                functools.partial(ingest.result, 0),
+                lambda: progress.abort_requested,
+                checkpoints=checkpoints,
+                golden=golden,
+                sampler=self.sampler,
+            )
         )
 
 
@@ -154,55 +342,44 @@ class FaultInjectionAlgorithms:
     progress reporter for the monitoring/pause/end controls.
     """
 
-    #: Technique → experiment-body method.  One entry per registered
-    #: technique; the parallel runner and the detail-mode re-run resolve
-    #: their per-experiment runner through this table.
-    EXPERIMENT_BODIES = {
-        TECHNIQUE_SCIFI: "_run_scifi_experiment",
-        TECHNIQUE_PINLEVEL: "_run_scifi_experiment",
-        TECHNIQUE_SWIFI_PRERUNTIME: "_run_swifi_preruntime_experiment",
-        TECHNIQUE_SWIFI_RUNTIME: "_run_swifi_runtime_experiment",
-    }
-
     def __init__(
         self,
         target: TargetSystemInterface,
         db: GoofiDatabase | None,
         progress: ProgressReporter | None = None,
     ) -> None:
-        """``db`` may be ``None`` for experiment-only use (the parallel
-        campaign runner's worker processes never touch the database —
-        campaign management then raises on the missing connection)."""
+        """``db`` may be ``None`` for experiment-only use (the worker
+        processes never touch the database — campaign management then
+        raises on the missing connection)."""
         self.target = target
         self.db = db
         self.progress = progress or ProgressReporter()
         #: Filled by :meth:`make_reference_run`.
         self.reference_trace: ReferenceTrace | None = None
-        #: Active checkpoint cache.  Set for the duration of a
-        #: checkpointed campaign (``run_campaign(checkpoints=True)``)
-        #: or directly by a parallel worker; the experiment bodies
+        #: Active checkpoint cache.  Set by :meth:`run_shard` for the
+        #: duration of a checkpointed shard; the experiment bodies
         #: consult it to skip re-simulating the fault-free prefix.
         self.checkpoints: CheckpointCache | None = None
         #: LRU capacity used when building the cache (one knob, also
-        #: shipped to the parallel workers; the CLI exposes it as
+        #: shipped to the worker processes; the CLI exposes it as
         #: ``--checkpoint-capacity``).
         self.checkpoint_capacity: int = DEFAULT_CHECKPOINT_CAPACITY
         #: Active telemetry handle.  ``NULL_TELEMETRY`` (every operation
         #: a shared no-op) unless ``run_campaign(telemetry=...)`` turned
-        #: it on or a parallel worker installed a local instance.
+        #: it on or a worker process installed a local instance.
         self.telemetry = NULL_TELEMETRY
         #: Active campaign event bus (:mod:`repro.core.events`).
         #: ``NULL_EVENTS`` unless ``run_campaign(events=...)`` turned it
-        #: on; parallel workers never carry a live bus — the coordinator
+        #: on; worker processes never carry a live bus — the coordinator
         #: owns the sinks and emits in deterministic plan order.
         self.events = NULL_EVENTS
         #: Requested probe configuration for the current campaign run
         #: (``run_campaign(probes=...)``); ``None`` when probing is off.
         self.probe_config: ProbeConfig | None = None
         #: Active probe session (golden snapshots + pending summaries).
-        #: Set for the duration of a probed campaign, or installed
-        #: directly by a parallel worker; the experiment bodies route
-        #: their execution segments through it when present.
+        #: Set by :meth:`run_shard` for the duration of a probed shard;
+        #: the experiment bodies route their execution segments through
+        #: it when present.
         self.probes: ProbeSession | None = None
         #: Requested liveness-pruning configuration for the current
         #: campaign run (``run_campaign(prune=...)``); ``None`` when
@@ -212,10 +389,7 @@ class FaultInjectionAlgorithms:
         #: campaign run (``run_campaign(resources=...)``); ``None``
         #: when resource telemetry is off.
         self.resource_config: ResourceConfig | None = None
-        #: Active resource sampler (serial runs and parallel workers
-        #: install their own); the flush path drains it.
-        self.resources: ResourceSampler | None = None
-        #: Whether the current run wraps the experiment loop in
+        #: Whether the current run wraps each shard's experiment loop in
         #: :mod:`cProfile` (``run_campaign(profile=True)``).
         self.profile: bool = False
         #: The reference run's logged record, stashed by
@@ -228,7 +402,7 @@ class FaultInjectionAlgorithms:
         self._reference_trace_key: tuple | None = None
 
     # ------------------------------------------------------------------
-    # Campaign entry points
+    # Campaign entry point
     # ------------------------------------------------------------------
     def run_campaign(
         self,
@@ -246,8 +420,8 @@ class FaultInjectionAlgorithms:
         resources=None,
         profile: bool = False,
     ) -> CampaignResult:
-        """Run the campaign's technique-specific algorithm (dispatched
-        through the technique registry).
+        """Run a campaign: the technique's registered experiment body
+        inside the one campaign pipeline.
 
         ``resume=True`` continues an interrupted campaign: already
         logged experiments are kept and skipped (the seeded plan is
@@ -256,8 +430,10 @@ class FaultInjectionAlgorithms:
         paper's progress window surviving a host restart.
 
         ``workers > 1`` shards the experiment plan across that many
-        worker processes (:class:`repro.core.parallel.ParallelCampaignRunner`);
-        results are bit-identical to the serial loop.
+        worker processes (:class:`repro.core.parallel.ProcessExecutor`);
+        results are bit-identical to ``workers=1``, which runs every
+        experiment in this process (:class:`InlineExecutor`).  An empty
+        plan never starts a worker.
 
         ``checkpoints=True`` reuses fault-free prefix state between
         experiments (:mod:`repro.core.checkpoint`): the plan is run in
@@ -270,7 +446,7 @@ class FaultInjectionAlgorithms:
         ``fast=False`` forces the target's reference execution loop
         instead of its fused fast path (a debugging escape hatch; the
         two engines log bit-identical rows).  The choice is applied to
-        this session's target and shipped to any parallel workers.
+        this session's target and shipped to any worker processes.
 
         ``telemetry`` turns on campaign telemetry (see
         :func:`repro.core.telemetry.resolve_telemetry` for the accepted
@@ -312,7 +488,7 @@ class FaultInjectionAlgorithms:
         change logged rows; emission happens strictly after a row is
         final.
 
-        ``shared_state`` (parallel runs only) publishes the common
+        ``shared_state`` (worker processes only) publishes the common
         worker-startup state — reference trace, golden probe snapshots,
         armed initial image — once via ``multiprocessing.shared_memory``
         for zero-copy worker attachment; ``False`` forces the
@@ -340,7 +516,12 @@ class FaultInjectionAlgorithms:
         has a snapshot row to live in.  Purely observational: rows are
         bit-identical profiled or not.
         """
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        if self.db is None:
+            raise ConfigurationError("running a campaign needs a database connection")
         config = self.read_campaign_data(campaign_name)
+        self.experiment_runner(config.technique)  # fail before any work
         self.target.set_fast_path(fast)
         tele = resolve_telemetry(telemetry, telemetry_jsonl)
         if profile and not tele.enabled:
@@ -371,24 +552,9 @@ class FaultInjectionAlgorithms:
         owns_bus = bus is not events
         self.events = bus
         try:
-            if workers > 1:
-                from .parallel import ParallelCampaignRunner
-
-                return ParallelCampaignRunner(self, workers=workers).run(
-                    config,
-                    resume=resume,
-                    checkpoints=checkpoints,
-                    fast=fast,
-                    shared_state=shared_state,
-                )
-            method_name = technique_method(config.technique)
-            method = getattr(self, method_name, None)
-            if method is None:
-                raise ConfigurationError(
-                    f"technique {config.technique!r} maps to unknown algorithm "
-                    f"{method_name!r}"
-                )
-            return method(campaign_name, resume=resume, checkpoints=checkpoints)
+            return self._run_pipeline(
+                config, resume, workers, checkpoints, fast, shared_state
+            )
         finally:
             tele.close()
             if owns_bus:
@@ -398,96 +564,24 @@ class FaultInjectionAlgorithms:
             self.probe_config = None
             self.prune_config = None
             self.resource_config = None
-            self.resources = None
             self.profile = False
 
     def experiment_runner(self, technique: str):
-        """The per-experiment body for ``technique`` (bound method taking
-        ``(config, spec, trace)`` and returning an
-        :class:`~repro.db.models.ExperimentRecord`)."""
-        try:
-            return getattr(self, self.EXPERIMENT_BODIES[technique])
-        except KeyError:
+        """The per-experiment body registered for ``technique`` (bound
+        method taking ``(config, spec, trace)`` and returning an
+        :class:`~repro.db.models.ExperimentRecord`).  Looked up by name
+        on each call, so a subclass or a patched method takes effect."""
+        method_name = technique_method(technique)
+        runner = getattr(self, method_name, None)
+        if runner is None:
             raise ConfigurationError(
-                f"no experiment body for technique {technique!r}"
-            ) from None
-
-    def fault_injector_scifi(
-        self, campaign_name: str, resume: bool = False, checkpoints: bool = False
-    ) -> CampaignResult:
-        """The SCIFI algorithm of Figure 2."""
-        config = self.read_campaign_data(campaign_name)
-        if config.technique != TECHNIQUE_SCIFI:
-            raise ConfigurationError(
-                f"campaign {campaign_name!r} is configured for "
-                f"{config.technique!r}, not SCIFI"
+                f"technique {technique!r} maps to unknown experiment body "
+                f"{method_name!r}"
             )
-        return self._campaign_loop(
-            config, self._run_scifi_experiment, resume=resume, checkpoints=checkpoints
-        )
-
-    def fault_injector_pinlevel(
-        self, campaign_name: str, resume: bool = False, checkpoints: bool = False
-    ) -> CampaignResult:
-        """Pin-level fault injection (paper §2.1).
-
-        Built from the same abstract building blocks as SCIFI — the
-        read/invert/write cycle simply targets the *boundary* scan
-        chain's pin cells, emulating a probe forcing a pin value.  The
-        plan generator restricts the location space accordingly; the
-        per-experiment body is byte-for-byte the SCIFI inner loop, which
-        is exactly the reuse the paper's design argument promises.
-        """
-        config = self.read_campaign_data(campaign_name)
-        if config.technique != TECHNIQUE_PINLEVEL:
-            raise ConfigurationError(
-                f"campaign {campaign_name!r} is configured for "
-                f"{config.technique!r}, not pin-level injection"
-            )
-        return self._campaign_loop(
-            config, self._run_scifi_experiment, resume=resume, checkpoints=checkpoints
-        )
-
-    def fault_injector_swifi_preruntime(
-        self, campaign_name: str, resume: bool = False, checkpoints: bool = False
-    ) -> CampaignResult:
-        """Pre-runtime SWIFI: corrupt the memory image, then run.
-
-        Checkpointing is accepted but has nothing to skip here — faults
-        land before cycle 0, so there is no fault-free prefix.
-        """
-        config = self.read_campaign_data(campaign_name)
-        if config.technique != TECHNIQUE_SWIFI_PRERUNTIME:
-            raise ConfigurationError(
-                f"campaign {campaign_name!r} is configured for "
-                f"{config.technique!r}, not pre-runtime SWIFI"
-            )
-        return self._campaign_loop(
-            config,
-            self._run_swifi_preruntime_experiment,
-            resume=resume,
-            checkpoints=checkpoints,
-        )
-
-    def fault_injector_swifi_runtime(
-        self, campaign_name: str, resume: bool = False, checkpoints: bool = False
-    ) -> CampaignResult:
-        """Runtime SWIFI (future-work extension)."""
-        config = self.read_campaign_data(campaign_name)
-        if config.technique != TECHNIQUE_SWIFI_RUNTIME:
-            raise ConfigurationError(
-                f"campaign {campaign_name!r} is configured for "
-                f"{config.technique!r}, not runtime SWIFI"
-            )
-        return self._campaign_loop(
-            config,
-            self._run_swifi_runtime_experiment,
-            resume=resume,
-            checkpoints=checkpoints,
-        )
+        return runner
 
     # ------------------------------------------------------------------
-    # Shared campaign skeleton
+    # The campaign pipeline
     # ------------------------------------------------------------------
     def read_campaign_data(self, campaign_name: str) -> CampaignConfig:
         """``readCampaignData``: load the configuration from the DB."""
@@ -502,9 +596,7 @@ class FaultInjectionAlgorithms:
 
     def compute_reference_trace(self, config: CampaignConfig):
         """Execute the workload fault-free and record its trace, without
-        logging anything.  Parallel workers use this to rebuild the
-        (deterministic) trace locally instead of shipping it across the
-        process boundary."""
+        logging anything."""
         self._prepare_target(config, faulty_environment=False)
         info, trace = self.target.record_trace(config.termination)
         if info.outcome != "workload_end":
@@ -553,32 +645,45 @@ class FaultInjectionAlgorithms:
             repr(config.environment),
         )
 
-    def _campaign_loop(
+    def _run_pipeline(
         self,
         config: CampaignConfig,
-        run_experiment,
-        resume: bool = False,
-        checkpoints: bool = False,
+        resume: bool,
+        workers: int,
+        checkpoints: bool,
+        fast: bool,
+        shared_state: bool,
     ) -> CampaignResult:
+        """resume → reference → plan → prune → golden → event prefix →
+        run the remaining experiments on an executor → status →
+        telemetry close-out.  Every stage runs here, in the coordinator,
+        whichever executor runs the experiments."""
+        db = self.db
         tele = self.telemetry
+        bus = self.events
+        progress = self.progress
         sampler: ResourceSampler | None = None
         if self.resource_config is not None:
-            # Serial runs sample the one process doing the work; when
-            # no backend works the sampler degrades to a no-op rather
-            # than failing the campaign.
-            sampler = ResourceSampler(self.resource_config, worker=0)
-            self.resources = sampler
+            # The coordinator samples its own process too (reference,
+            # plan and golden run here); next to worker processes its
+            # samples carry the coordinator's id.  When no backend works
+            # the sampler degrades to a no-op.
+            sampler = ResourceSampler(
+                self.resource_config,
+                worker=COORDINATOR_WORKER if workers > 1 else 0,
+            )
         if resume:
             already_logged = {
-                record.experiment_name
-                for record in self.db.iter_experiments(config.name)
+                record.experiment_name for record in db.iter_experiments(config.name)
             }
         else:
             # A fresh run of a campaign replaces its previously logged
             # results (re-runs with other parameters belong in a new or
             # merged campaign).
             already_logged = set()
-            self.db.delete_campaign_experiments(config.name)
+            db.delete_campaign_experiments(config.name)
+        # The reference run stays in the coordinator: it is the one row
+        # worker processes must not race to write.
         with tele.time("phase.reference"):
             trace = self.make_reference_run(config)
         if sampler is not None:
@@ -588,21 +693,6 @@ class FaultInjectionAlgorithms:
             plan = PlanGenerator(config, space, trace).generate()
         if sampler is not None:
             sampler.sample("plan")
-        if self.probe_config is not None:
-            # One extra fault-free pass captures the golden snapshots
-            # every experiment's probes diff against.
-            with tele.time("phase.golden"):
-                self.probes = ProbeSession.create(
-                    self.target,
-                    lambda: self._prepare_target(config, faulty_environment=False),
-                    config.termination,
-                    self.probe_config,
-                )
-                # The golden pass also records per-element liveness —
-                # the same summary the pruning classifier reasons from.
-                self.probes.golden.liveness = liveness_map(trace)
-            if sampler is not None:
-                sampler.sample("golden")
         remaining = [spec for spec in plan if spec.name not in already_logged]
         prune_plan: PrunePlan | None = None
         if self.prune_config is not None:
@@ -621,7 +711,7 @@ class FaultInjectionAlgorithms:
                 # to confirm the prediction.
                 upfront = prune_plan.upfront_records()
                 for start in range(0, len(upfront), 256):
-                    self.db.save_experiments(upfront[start : start + 256])
+                    db.save_experiments(upfront[start : start + 256])
             logger.info(
                 "campaign %r: pruned %d/%d experiments (%d spot-checks)%s",
                 config.name,
@@ -635,18 +725,40 @@ class FaultInjectionAlgorithms:
             if tele.enabled:
                 tele.metrics.inc("prune.pruned", len(prune_plan.pruned_specs))
                 tele.metrics.inc("prune.skipped", prune_plan.skipped)
-                tele.metrics.inc(
-                    "prune.spot_checks", len(prune_plan.spot_checks)
+                tele.metrics.inc("prune.spot_checks", len(prune_plan.spot_checks))
+        golden = None
+        if self.probe_config is not None:
+            # One extra fault-free pass captures the golden snapshots
+            # every experiment's probes diff against.
+            with tele.time("phase.golden"):
+                golden = capture_golden_snapshots(
+                    self.target,
+                    lambda: self._prepare_target(config, faulty_environment=False),
+                    config.termination,
+                    self.probe_config,
                 )
-        if checkpoints and self.target.supports_checkpoints:
+                # The golden pass also records per-element liveness —
+                # the same summary the pruning classifier reasons from.
+                golden.liveness = liveness_map(trace)
+            if sampler is not None:
+                sampler.sample("golden")
+        use_checkpoints = checkpoints and self.target.supports_checkpoints
+        if use_checkpoints:
             # First-injection order makes the breakpoint sequence
             # monotone, so every checkpoint taken is at or before all
-            # later experiments' first breakpoints.  Row content is
+            # later experiments' first breakpoints (round-robin shards
+            # of a sorted plan stay sorted).  Row content is
             # per-experiment deterministic; only DB insertion order
             # changes (the rows are keyed by experiment name).
             remaining = sort_plan_by_first_injection(remaining, trace)
-            self.checkpoints = CheckpointCache(self.checkpoint_capacity)
-        bus = self.events
+        if workers > 1 and remaining:
+            from .parallel import ProcessExecutor
+
+            executor = ProcessExecutor(
+                self, min(workers, len(remaining)), fast, shared_state
+            )
+        else:
+            executor = InlineExecutor(self, sampler)
         if bus.enabled:
             bus.emit(
                 "campaign_planned",
@@ -659,231 +771,191 @@ class FaultInjectionAlgorithms:
                     len(prune_plan.pruned_specs) if prune_plan is not None else 0
                 ),
                 to_run=len(remaining),
-                workers=1,
-                checkpoints=self.checkpoints is not None,
+                workers=executor.workers,
+                checkpoints=use_checkpoints,
             )
+            # Skipped experiments were logged up front from synthesised
+            # rows; their events carry the provenance flag and no
+            # run-progress counter (they never run).
             if prune_plan is not None:
-                # Skipped experiments were logged up front from
-                # synthesised rows; their events carry the provenance
-                # flag and no run-progress counter (they never run).
-                emit_pruned_events(bus, config.name, prune_plan, len(remaining))
-        progress = self.progress
+                for record in prune_plan.upfront_records():
+                    bus.emit(
+                        "experiment_finished",
+                        campaign=config.name,
+                        experiment=record.experiment_name,
+                        outcome=record.state_vector["termination"]["outcome"],
+                        completed=None,
+                        total=len(remaining),
+                        elapsed_seconds=None,
+                        rate=None,
+                        eta_seconds=None,
+                        pruned=True,
+                        spot_check=False,
+                        worker=0,
+                    )
         progress.start(config.name, len(remaining))
-        if bus.enabled:
-            bus.emit(
-                "campaign_started",
-                campaign=config.name,
-                total=len(remaining),
-                workers=1,
-            )
-        self.db.set_campaign_status(config.name, "running")
+        bus.emit(
+            "campaign_started",
+            campaign=config.name,
+            total=len(remaining),
+            workers=executor.workers,
+        )
+        db.set_campaign_status(config.name, "running")
         logger.info(
             "campaign %r: %d experiments to run (%d already logged)%s",
             config.name,
             len(remaining),
             len(already_logged),
-            ", checkpointing" if self.checkpoints is not None else "",
+            ", checkpointing" if use_checkpoints else "",
         )
-        completed = 0
-        aborted = False
+        ingest = _Ingest(self, config, remaining, prune_plan)
         failed = False
-        checkpoint_stats: dict | None = None
-        snapshot: dict | None = None
-        profile_data: dict | None = None
-        pending: list[ExperimentRecord] = []
-        collector = ProfileCollector() if self.profile else None
         try:
-            if collector is not None:
-                collector.start()
-            for spec in remaining:
-                if progress.abort_requested:
-                    aborted = True
-                    break
-                record = run_experiment(config, spec, trace)
-                spot_checked = (
-                    prune_plan is not None and spec.name in prune_plan.spot_checks
-                )
-                if spot_checked:
-                    # Hard-fails with PruneDivergence on mismatch; the
-                    # confirmed synthesised row (pruned flag set) is
-                    # what gets logged.
-                    record = prune_plan.verify_spot_check(spec.name, record)
-                pending.append(record)
-                if len(pending) >= 64:
-                    self._flush_batch(config.name, pending)
-                    pending = []
-                completed += 1
-                if sampler is not None:
-                    sampler.maybe_sample()
-                outcome = record.state_vector["termination"]["outcome"]
-                progress_event = progress.experiment_done(spec.name, outcome)
-                if bus.enabled:
-                    bus.experiment_finished(
-                        progress_event,
-                        pruned=record.pruned,
-                        spot_check=spot_checked,
-                    )
+            executor.run(config, remaining, trace, golden, use_checkpoints, ingest)
         except BaseException:
             failed = True
             raise
         finally:
-            if collector is not None:
-                collector.stop()
-                profile_data = profile_summary(
-                    merge_profile_stats([collector.stats_payload()]), workers=1
-                )
+            aborted = progress.abort_requested
             if sampler is not None:
                 sampler.sample("finish")
-            if self.checkpoints is not None:
-                checkpoint_stats = self.checkpoints.stats.to_dict()
-                self.checkpoints = None
+                ingest.add_samples(sampler.drain())
             # A crashing experiment must not lose the batched records
             # accumulated before it, nor leave the campaign stuck at
             # "running" — flush and mark aborted before propagating.
             try:
-                if (
-                    pending
-                    or (self.probes is not None and self.probes.has_pending)
-                    or (sampler is not None and sampler.pending)
-                ):
-                    self._flush_batch(config.name, pending)
+                ingest.flush()
             except Exception:
+                # Always leave a trace of the lost batch; re-raise only
+                # when it would not mask the original failure.
+                logger.exception(
+                    "campaign %r: failed to flush pending records", config.name
+                )
                 if not failed:
                     raise
-            finally:
-                self.probes = None
-                self.resources = None
             progress.finish()
-            self.db.set_campaign_status(
-                config.name, "aborted" if (aborted or failed) else "completed"
-            )
+            status = "aborted" if (aborted or failed) else "completed"
+            db.set_campaign_status(config.name, status)
             logger.info(
                 "campaign %r %s: %d/%d experiments in %.1fs",
                 config.name,
-                "aborted" if (aborted or failed) else "completed",
-                completed,
+                status,
+                ingest.completed,
                 len(remaining),
                 progress.elapsed_seconds,
             )
-            if bus.enabled:
-                bus.emit(
-                    "campaign_aborted"
-                    if (aborted or failed)
-                    else "campaign_finished",
-                    campaign=config.name,
-                    completed=completed,
-                    total=len(remaining),
-                    elapsed_seconds=round(progress.elapsed_seconds, 6),
-                )
-            if tele.enabled and not failed:
-                if sampler is not None:
-                    sampler.fold_into(tele.metrics)
-                snapshot = self._finish_telemetry(
-                    config.name, checkpoint_stats, profile=profile_data
-                )
+            ingest.release_held()
+            bus.emit(
+                "campaign_aborted" if status == "aborted" else "campaign_finished",
+                campaign=config.name,
+                completed=ingest.completed,
+                total=len(remaining),
+                elapsed_seconds=round(progress.elapsed_seconds, 6),
+            )
+        profile_data = None
+        if ingest.profiles:
+            profile_data = profile_summary(
+                merge_profile_stats(ingest.profiles), workers=len(ingest.profiles)
+            )
+        snapshot = None
+        if tele.enabled:
+            if sampler is not None:
+                sampler.fold_into(tele.metrics)
+            snapshot = self._finish_telemetry(
+                config.name, executor.workers, ingest.checkpoint_stats, profile_data
+            )
         return CampaignResult(
             campaign_name=config.name,
-            experiments_run=completed,
+            experiments_run=ingest.completed,
             experiments_planned=len(remaining),
             aborted=aborted,
             elapsed_seconds=progress.elapsed_seconds,
-            checkpoint_stats=checkpoint_stats,
+            checkpoint_stats=ingest.checkpoint_stats,
             telemetry=snapshot,
             prune=prune_plan.report() if prune_plan is not None else None,
             profile=profile_data,
             resource_samples=(
-                sampler.samples_taken if sampler is not None else None
+                ingest.samples_seen if sampler is not None else None
             ),
         )
 
-    def _flush_batch(
-        self, campaign_name: str, records: list[ExperimentRecord]
-    ) -> None:
-        """Persist one batch of experiment rows — plus any span records
-        and probe summaries drained since the last flush — timing the
-        write when telemetry is on."""
+    def run_shard(
+        self,
+        config: CampaignConfig,
+        specs,
+        trace: ReferenceTrace,
+        send,
+        should_stop,
+        *,
+        checkpoints: bool = False,
+        golden=None,
+        initial=None,
+        sampler: ResourceSampler | None = None,
+    ) -> dict:
+        """Run ``specs`` in this process — the experiment loop of both
+        executors.
+
+        After each experiment ``send(record, spans, probes, samples)``
+        receives its record plus the span records, probe summaries and
+        resource samples gathered with it; ``should_stop()`` is checked
+        before each experiment.  ``checkpoints`` gives the shard its own
+        checkpoint cache (pre-seeded at cycle 0 with ``initial``, an
+        armed fault-free image, when one is given); ``golden`` turns on
+        probing against those snapshots.  Returns the shard-end summary:
+        the ``profile`` table and the ``checkpoint`` cache stats.
+        """
+        run_experiment = self.experiment_runner(config.technique)
         tele = self.telemetry
-        probe_records = (
-            [
-                ProbeRecord(
-                    experiment_name=payload["experiment"],
-                    campaign_name=campaign_name,
-                    probe=payload,
-                )
-                for payload in self.probes.drain()
-            ]
-            if self.probes is not None
-            else []
-        )
-        resource_records: list[ResourceSampleRecord] = []
-        if self.resources is not None:
-            samples = self.resources.drain()
-            if self.events.enabled:
-                for sample in samples:
-                    self.events.emit(
-                        "resource_sample",
-                        campaign=campaign_name,
-                        worker=sample["worker"],
-                        sample=sample,
-                    )
-            resource_records = [
-                ResourceSampleRecord(
-                    campaign_name=campaign_name,
-                    sample=sample,
-                    worker=sample["worker"],
-                )
-                for sample in samples
-            ]
-        if not tele.enabled:
-            if records:
-                self.db.save_experiments(records)
-            self.db.save_probes(probe_records)
-            self.db.save_resource_samples(resource_records)
-            return
-        spans = tele.drain_spans()
-        for span in spans:
-            # Lane annotation for the trace export; parallel runs tag
-            # the worker id instead.
-            span.setdefault("worker", 0)
-        if self.events.enabled:
-            # Phase-span events reuse the telemetry record verbatim as
-            # their payload — the stream and the ExperimentSpan table
-            # speak the same dialect.
-            for span in spans:
-                self.events.emit(
-                    "span",
-                    campaign=campaign_name,
-                    worker=span["worker"],
-                    span=span,
-                )
-        started = time.perf_counter()
-        if records:
-            self.db.save_experiments(records)
-        self.db.save_probes(probe_records)
-        self.db.save_resource_samples(resource_records)
-        if spans:
-            self.db.save_spans(
-                [
-                    SpanRecord(
-                        experiment_name=span["experiment"],
-                        campaign_name=campaign_name,
-                        span=span,
-                    )
-                    for span in spans
-                ]
+        cache = CheckpointCache(self.checkpoint_capacity) if checkpoints else None
+        if cache is not None and initial is not None:
+            # Every experiment's reset-and-run preamble becomes one
+            # buffer-copy restore instead.
+            cache.save(0, initial)
+        probes = None
+        if golden is not None:
+            probes = ProbeSession.create(
+                self.target,
+                lambda: self._prepare_target(config, faulty_environment=False),
+                config.termination,
+                self.probe_config,
+                golden=golden,
             )
-        elapsed = time.perf_counter() - started
-        metrics = tele.metrics
-        metrics.add_time("phase.db_write", elapsed)
-        metrics.observe("db.batch_seconds", elapsed)
-        metrics.inc("db.rows", len(records))
-        metrics.inc("db.batches")
+        self.checkpoints = cache
+        self.probes = probes
+        collector = ProfileCollector() if self.profile else None
+        try:
+            if collector is not None:
+                collector.start()
+            for spec in specs:
+                if should_stop():
+                    break
+                record = run_experiment(config, spec, trace)
+                samples = None
+                if sampler is not None:
+                    sampler.maybe_sample()
+                    samples = sampler.drain()
+                send(
+                    record,
+                    tele.drain_spans(),
+                    probes.drain() if probes is not None else None,
+                    samples,
+                )
+        finally:
+            if collector is not None:
+                collector.stop()
+            self.checkpoints = None
+            self.probes = None
+        return {
+            "profile": collector.stats_payload() if collector is not None else None,
+            "checkpoint": cache.stats.to_dict() if cache is not None else None,
+        }
 
     def _finish_telemetry(
         self,
         campaign_name: str,
-        checkpoint_stats: dict | None = None,
-        profile: dict | None = None,
+        workers: int,
+        checkpoint_stats: dict | None,
+        profile: dict | None,
     ) -> dict:
         """Close out a telemetered campaign: fold the execution-engine
         and checkpoint-cache counters into the registry, write the
@@ -893,14 +965,10 @@ class FaultInjectionAlgorithms:
         ``profile`` key."""
         tele = self.telemetry
         metrics = tele.metrics
-        for key, value in self.target.execution_stats().items():
-            if key == "cycles":
-                continue  # point-in-time, not a counter — summing it lies
-            metrics.inc(f"engine.{key}", value)
-        if checkpoint_stats:
-            for key, value in checkpoint_stats.items():
-                metrics.inc(f"checkpoint.cache.{key}", value)
-        metrics.gauges.setdefault("workers", 1)
+        fold_engine_stats(metrics, self.target)
+        for key, value in (checkpoint_stats or {}).items():
+            metrics.inc(f"checkpoint.cache.{key}", value)
+        metrics.set_gauge("workers", workers)
         metrics.set_gauge("elapsed_seconds", self.progress.elapsed_seconds)
         snapshot = tele.write_snapshot()
         if profile is not None:
@@ -1255,6 +1323,7 @@ class FaultInjectionAlgorithms:
         )
         self.db.save_experiment(record)
         return record
+
 
 
 def register_target_system(db: GoofiDatabase, target: TargetSystemInterface) -> None:

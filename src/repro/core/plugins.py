@@ -6,8 +6,9 @@ Adaptation is two registrations:
 
 * a target system registers its :class:`TargetSystemInterface` subclass
   under a name (used as the ``TargetSystemData`` key);
-* a technique registers the name of the algorithm method on
-  :class:`repro.core.algorithms.FaultInjectionAlgorithms` that runs it.
+* a technique registers the name of its experiment-body method on
+  :class:`repro.core.algorithms.FaultInjectionAlgorithms` (or a
+  subclass); the one campaign pipeline runs that body per experiment.
 
 The built-in Thor target and the SCIFI / SWIFI techniques register
 themselves on import of :mod:`repro`.
@@ -15,7 +16,6 @@ themselves on import of :mod:`repro`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigurationError
@@ -45,19 +45,13 @@ def registered_targets() -> list[str]:
     return sorted(_TARGETS)
 
 
-@dataclass(frozen=True, slots=True)
-class Technique:
-    """A registered fault-injection technique."""
-
-    name: str
-    algorithm_method: str
-    description: str = ""
-
-
-def register_technique(name: str, algorithm_method: str, description: str = "") -> None:
+def register_technique(name: str, body_method: str) -> None:
+    """Register technique ``name``, run per experiment by the method
+    named ``body_method``: it takes ``(config, spec, trace)`` and
+    returns the experiment's :class:`~repro.db.models.ExperimentRecord`."""
     if name in _TECHNIQUES:
         raise ConfigurationError(f"technique {name!r} is already registered")
-    _TECHNIQUES[name] = algorithm_method
+    _TECHNIQUES[name] = body_method
 
 
 def technique_method(name: str) -> str:

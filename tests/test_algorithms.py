@@ -108,11 +108,6 @@ class TestScifiCampaign:
         cycles = [f["injection_cycle"] for f in record.experiment_data["faults"]]
         assert cycles == sorted(cycles)
 
-    def test_technique_mismatch_rejected(self, session):
-        make_campaign(session, "c", technique="scifi")
-        with pytest.raises(ConfigurationError, match="not pre-runtime SWIFI"):
-            session.algorithms.fault_injector_swifi_preruntime("c")
-
     def test_wrong_target_rejected(self, session):
         make_campaign(session, "c")
         session.target.target_name = "other-target"

@@ -330,8 +330,11 @@ class TestCampaignEquivalence:
             assert result.checkpoint_stats is not None
 
             stack_config(session, "par")
-            session.run_campaign("par", workers=2, checkpoints=True)
+            result = session.run_campaign("par", workers=2, checkpoints=True)
             assert rows_by_name(session.db, "par") == reference
+            # Summed over the workers' caches.
+            assert result.checkpoint_stats is not None
+            assert result.checkpoint_stats["restores"] > 0
 
     def test_resume_with_checkpoints(self, session):
         make_campaign(session, "r1", num_experiments=10, seed=46)

@@ -352,6 +352,38 @@ class TestParallelStream:
         assert streams[2] == streams[1]
         assert streams[4] == streams[1]
 
+    def test_empty_plan_takes_one_path_for_any_worker_count(
+        self, session, tmp_path
+    ):
+        """Resuming a completed campaign leaves nothing to run: every
+        worker count then records the same stream and result, and no
+        worker process starts."""
+        import dataclasses
+
+        make_campaign(session, "c", num_experiments=4, seed=54)
+        session.run_campaign("c")
+        wall_clock = {"ts", "elapsed_seconds", "rate", "eta_seconds"}
+        streams, results = {}, {}
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.jsonl"
+            result = session.run_campaign(
+                "c", resume=True, workers=workers, checkpoints=True,
+                events=str(path),
+            )
+            results[workers] = {
+                key: value
+                for key, value in dataclasses.asdict(result).items()
+                if key != "elapsed_seconds"
+            }
+            streams[workers] = [
+                {key: value for key, value in record.items() if key not in wall_clock}
+                for record in read_events(path)
+            ]
+        assert streams[2] == streams[1]
+        assert results[2] == results[1]
+        started = next(r for r in streams[1] if r["kind"] == "campaign_started")
+        assert started["workers"] == 1 and started["total"] == 0
+
     def test_worker_lifecycle_records(self, session, tmp_path):
         path = tmp_path / "run.jsonl"
         make_campaign(session, "c", num_experiments=8, seed=52)

@@ -13,7 +13,7 @@ import pytest
 
 from tests.conftest import make_campaign
 from repro.core.errors import ConfigurationError
-from repro.core.parallel import ParallelCampaignRunner, WorkerFailure
+from repro.core.parallel import WorkerFailure
 
 
 def rows_by_name(db, campaign: str) -> dict:
@@ -216,17 +216,72 @@ class TestWorkerFailure:
         assert session.db.load_campaign("c").status == "aborted"
 
 
+class TestPluginTechnique:
+    def test_subclass_technique_rows_match_across_workers(self, session):
+        """A technique registered the documented way — a body method on
+        a subclass — runs in worker processes exactly as in this one."""
+        from repro.core import plugins
+        from repro.core.algorithms import FaultInjectionAlgorithms
+
+        class BurstAlgorithms(FaultInjectionAlgorithms):
+            def _run_burst_experiment(self, config, spec, trace):
+                record = self._run_scifi_experiment(config, spec, trace)
+                record.experiment_data["burst"] = len(spec.faults)
+                return record
+
+        plugins.register_technique("burst", "_run_burst_experiment")
+        original = session.algorithms
+        session.algorithms = BurstAlgorithms(
+            session.target, session.db, session.progress
+        )
+        try:
+            rows = {}
+            for workers in (1, 2):
+                name = f"w{workers}"
+                make_campaign(
+                    session, name, technique="burst", num_experiments=6,
+                    flips_per_experiment=2, seed=99,
+                )
+                result = session.run_campaign(name, workers=workers)
+                assert result.experiments_run == 6
+                rows[workers] = rows_by_name(session.db, name)
+        finally:
+            session.algorithms = original
+            plugins._TECHNIQUES.pop("burst", None)
+        assert rows[2] == rows[1]
+        bursts = [
+            data["burst"]
+            for data, _state, _parent in rows[1].values()
+            if data["technique"] == "burst"
+        ]
+        assert bursts == [2] * 6
+
+
 class TestRunnerValidation:
     def test_workers_must_be_positive(self, session):
-        with pytest.raises(ConfigurationError, match="workers"):
-            ParallelCampaignRunner(session.algorithms, workers=0)
+        make_campaign(session, "c", num_experiments=2)
+        for workers in (0, -3):
+            with pytest.raises(ConfigurationError, match="workers"):
+                session.run_campaign("c", workers=workers)
+        assert session.db.count_experiments("c") == 0
 
     def test_coordinator_requires_database(self, session):
         from repro.core.algorithms import FaultInjectionAlgorithms
 
         db_less = FaultInjectionAlgorithms(session.target, db=None)
         with pytest.raises(ConfigurationError, match="database"):
-            ParallelCampaignRunner(db_less, workers=2)
+            db_less.run_campaign("c", workers=2)
+
+    def test_negative_workers_via_cli_exits_one(self, tmp_path, capsys):
+        from repro.cli.main import main
+
+        db = str(tmp_path / "p.db")
+        assert main([
+            "campaign", "create", "--db", db, "--name", "c",
+            "--workload", "fibonacci", "--experiments", "2",
+        ]) == 0
+        assert main(["run", "--db", db, "c", "--quiet", "--workers", "-3"]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_workers_flag_via_cli(self, tmp_path, capsys):
         from repro.cli.main import main

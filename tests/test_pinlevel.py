@@ -37,11 +37,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="boundary"):
             session.run_campaign("bad2")
 
-    def test_technique_mismatch_rejected(self, session):
-        make_campaign(session, "c", technique="scifi")
-        with pytest.raises(ConfigurationError, match="not pin-level"):
-            session.algorithms.fault_injector_pinlevel("c")
-
 
 class TestPinCampaign:
     def test_campaign_completes(self, session):

@@ -45,7 +45,8 @@ class TestTechniqueRegistry:
         assert {"scifi", "swifi_preruntime", "swifi_runtime"} <= set(names)
 
     def test_method_lookup(self):
-        assert plugins.technique_method("scifi") == "fault_injector_scifi"
+        assert plugins.technique_method("scifi") == "_run_scifi_experiment"
+        assert plugins.technique_method("pinlevel") == "_run_scifi_experiment"
 
     def test_unknown_technique(self):
         with pytest.raises(ConfigurationError, match="unknown technique"):

@@ -10,12 +10,12 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import CampaignConfig, GoofiSession, ProgressReporter, console_observer
+from repro import CampaignConfig, GoofiSession
+from repro.cli.watch import ProgressTicker
 
 
 def main() -> None:
-    progress = ProgressReporter(observers=[console_observer])
-    with GoofiSession(progress=progress) as session:
+    with GoofiSession() as session:
         workload = "bubble_sort"
         config = CampaignConfig(
             name="quickstart",
@@ -37,7 +37,9 @@ def main() -> None:
         )
         session.setup_campaign(config)
 
-        result = session.run_campaign("quickstart")
+        # The progress ticker subscribes to the campaign's event bus and
+        # draws the run on stderr, like ``goofi run`` does.
+        result = session.run_campaign("quickstart", events=[ProgressTicker()])
         print(
             f"\n{result.experiments_run} experiments in "
             f"{result.elapsed_seconds:.1f}s "

@@ -60,7 +60,6 @@ from .core import (
     Termination,
     TimeTrigger,
     TransientBitFlip,
-    console_observer,
     merge_campaigns,
     register_target_system,
     resolve_telemetry,
@@ -129,7 +128,6 @@ __all__ = [
     "Termination",
     "TimeTrigger",
     "TransientBitFlip",
-    "console_observer",
     "merge_campaigns",
     "register_target_system",
     "resolve_telemetry",

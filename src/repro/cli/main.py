@@ -4,7 +4,8 @@ Every window of the original tool maps to a subcommand:
 
 * Figure 5 (target configuration)  → ``goofi target describe/list``
 * Figure 6 (campaign definition)   → ``goofi campaign create/show/merge``
-* Figure 7 (progress window)       → ``goofi run`` (live progress line)
+* Figure 7 (progress window)       → ``goofi run`` (live progress ticker),
+                                     ``goofi watch``
 * analysis menu                    → ``goofi analyze``, ``goofi autogen``,
                                      ``goofi rerun`` (detail-mode re-run)
 
@@ -26,7 +27,6 @@ from .. import (
     StuckAt,
     Termination,
     TransientBitFlip,
-    console_observer,
 )
 from ..analysis import (
     campaign_report,
@@ -41,7 +41,6 @@ from ..core import (
     DEFAULT_PROBE_PERIOD,
     DEFAULT_RESOURCE_PERIOD,
     DEFAULT_SPOT_CHECK_RATE,
-    ProgressReporter,
     registered_targets,
     registered_techniques,
 )
@@ -57,9 +56,21 @@ def _add_db_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _session(args: argparse.Namespace, with_progress: bool = False) -> GoofiSession:
-    progress = ProgressReporter(observers=[console_observer]) if with_progress else None
-    return GoofiSession(args.db, progress=progress)
+def _session(args: argparse.Namespace) -> GoofiSession:
+    return GoofiSession(args.db)
+
+
+def _campaign_bus(args: argparse.Namespace):
+    """The event bus of a CLI campaign run: the ``--events`` sink and,
+    unless ``--quiet``, the progress ticker drawing on stderr.  The
+    command owns the bus and closes it."""
+    from ..core.events import resolve_events
+    from .watch import ProgressTicker
+
+    bus = resolve_events(args.events)
+    if not args.quiet:
+        bus.sinks.append(ProgressTicker())
+    return bus
 
 
 # ----------------------------------------------------------------------
@@ -229,9 +240,8 @@ def cmd_pack_show(args: argparse.Namespace) -> int:
 
 def cmd_gate(args: argparse.Namespace) -> int:
     from ..analysis import evaluate_gate, format_gate_report
-    from ..core.events import resolve_events
 
-    with _session(args, with_progress=not args.quiet) as session:
+    with _session(args) as session:
         pack, config = _setup_pack_campaign(session, args)
         if pack.bounds.empty:
             print(
@@ -242,13 +252,13 @@ def cmd_gate(args: argparse.Namespace) -> int:
             return 1
         # The gate owns the bus (not run_campaign) so the gate_verdict
         # record lands on the same stream as the campaign events.
-        bus = resolve_events(args.events)
+        bus = _campaign_bus(args)
         try:
             result = session.run_campaign(
                 config.name,
                 workers=args.workers,
                 telemetry="metrics" if args.trend is not None else None,
-                events=bus if bus.enabled else None,
+                events=bus,
             )
             if result.aborted:
                 print(
@@ -270,14 +280,13 @@ def cmd_gate(args: argparse.Namespace) -> int:
             )
             report = format_gate_report(gate)
             print(report)
-            if bus.enabled:
-                bus.emit(
-                    "gate_verdict",
-                    campaign=config.name,
-                    pack=pack.name,
-                    passed=gate.passed,
-                    violations=[str(check) for check in gate.violations],
-                )
+            bus.emit(
+                "gate_verdict",
+                campaign=config.name,
+                pack=pack.name,
+                passed=gate.passed,
+                violations=[str(check) for check in gate.violations],
+            )
             if args.report:
                 Path(args.report).write_text(
                     json.dumps(gate.to_dict(), indent=2) + "\n"
@@ -331,7 +340,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    with _session(args, with_progress=not args.quiet) as session:
+    with _session(args) as session:
         campaign_name = args.campaign
         if args.pack:
             _pack, config = _setup_pack_campaign(session, args)
@@ -343,21 +352,24 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             return 1
         session.algorithms.checkpoint_capacity = args.checkpoint_capacity
-        result = session.run_campaign(
-            campaign_name,
-            resume=args.resume,
-            workers=args.workers,
-            checkpoints=args.checkpoints,
-            fast=args.fast,
-            telemetry=args.telemetry,
-            telemetry_jsonl=args.telemetry_jsonl,
-            probes=args.probes,
-            prune=args.prune,
-            shared_state=args.shared_state,
-            events=args.events,
-            resources=args.resources,
-            profile=args.profile,
-        )
+        bus = _campaign_bus(args)
+        try:
+            result = session.run_campaign(
+                campaign_name,
+                resume=args.resume,
+                workers=args.workers,
+                checkpoints=args.checkpoints,
+                fast=args.fast,
+                telemetry=args.telemetry,
+                probes=args.probes,
+                prune=args.prune,
+                shared_state=args.shared_state,
+                events=bus,
+                resources=args.resources,
+                profile=args.profile,
+            )
+        finally:
+            bus.close()
         # With --events=- the event JSONL owns stdout; the human
         # summary moves to stderr so piped output stays parseable.
         out = sys.stderr if args.events == "-" else sys.stdout
@@ -850,15 +862,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="record campaign telemetry: --telemetry (= metrics) keeps "
              "aggregate phase timers and counters; --telemetry=spans "
              "also logs one structured record per experiment "
-             "(inspect with 'goofi stats'; logged rows are identical "
-             "either way)",
-    )
-    run.add_argument(
-        "--telemetry-jsonl",
-        default=None,
-        metavar="PATH",
-        help="also stream span records and the final metrics snapshot "
-             "to a JSON-lines file (implies --telemetry=spans)",
+             "(inspect with 'goofi stats'; with --events the spans and "
+             "the final metrics snapshot stream too; logged rows are "
+             "identical either way)",
     )
     run.add_argument(
         "--probes",

@@ -16,9 +16,12 @@ Two transports:
   function of the records); without it, the reader follows the file
   like ``tail -f`` until a terminal campaign event arrives.
 
-On a TTY the display redraws in place; otherwise (CI logs, pipes) it
-degrades to one plain status line per campaign lifecycle event plus
-the final summary, so logs stay readable.
+On a TTY the display redraws in place per experiment; otherwise (CI
+logs, pipes) it degrades to one plain status line per campaign
+lifecycle event and per block of 50 finished experiments, plus the
+final summary, so logs stay readable.  ``goofi run`` draws its progress
+ticker with the same model and renderer (:class:`ProgressTicker`, a
+subscriber on the run's event bus).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import sys
 import time
 from collections import Counter
 
-from ..core.events import iter_jsonl
+from ..core.events import EventSink, iter_jsonl
 
 #: Datagram receive buffer — comfortably above the sender's cap.
 _RECV_BYTES = 65536
@@ -37,6 +40,9 @@ _RECV_BYTES = 65536
 #: Seconds between poll iterations when following a growing file or an
 #: idle socket.
 _POLL_SECONDS = 0.2
+
+#: Finished experiments per plain status line when not on a TTY.
+_LINE_BLOCK = 50
 
 
 class WatchModel:
@@ -127,6 +133,8 @@ class WatchModel:
             self.elapsed_seconds = record.get("elapsed_seconds")
         elif kind == "resource_sample":
             self.resource_samples += 1
+        elif kind == "metrics":
+            pass  # the final telemetry snapshot: goofi stats reports it
         elif kind == "gate_verdict":
             self.gate = record
         else:
@@ -221,7 +229,8 @@ class WatchModel:
 
 class _Renderer:
     """TTY-aware progress display: redraw-in-place on a terminal, one
-    plain line per lifecycle change otherwise."""
+    plain line per lifecycle change and per block of finished
+    experiments otherwise."""
 
     def __init__(self, stream=None) -> None:
         self.stream = stream if stream is not None else sys.stderr
@@ -249,6 +258,11 @@ class _Renderer:
             "campaign_aborted",
             "worker_failed",
             "gate_verdict",
+        ) or (
+            # Up-front pruned records carry no progress counter.
+            kind == "experiment_finished"
+            and record.get("completed")
+            and record["completed"] % _LINE_BLOCK == 0
         ):
             print(f"{kind}: {model.status_line()}", file=self.stream)
 
@@ -256,6 +270,27 @@ class _Renderer:
         if self._dangling:
             print("", file=self.stream)
             self._dangling = False
+
+
+class ProgressTicker(EventSink):
+    """Progress display as an event-bus subscriber: folds each record
+    into a :class:`WatchModel` and draws it with the ``goofi watch``
+    renderer (on stderr unless ``stream`` is given).  ``goofi run``
+    attaches one unless ``--quiet``; closing the bus ends a dangling
+    TTY line."""
+
+    wants_line = False
+
+    def __init__(self, stream=None) -> None:
+        self.model = WatchModel()
+        self.renderer = _Renderer(stream)
+
+    def write(self, record: dict, line: str | None) -> None:
+        self.model.consume(record)
+        self.renderer.update(self.model, record)
+
+    def close(self) -> None:
+        self.renderer.finish(self.model)
 
 
 def _replay_records(path: str, follow: bool):
@@ -342,18 +377,16 @@ def watch(
     the summary stream (default stdout), ``status`` the live-line
     stream (default stderr)."""
     out = out if out is not None else sys.stdout
-    model = WatchModel()
-    renderer = _Renderer(status)
+    ticker = ProgressTicker(status)
     if replay:
         records = _replay_records(destination, follow=not once)
     else:
         records = _socket_records(destination, timeout)
     for record in records:
-        model.consume(record)
-        renderer.update(model, record)
-    renderer.finish(model)
-    print(model.summary(), file=out)
-    return model
+        ticker.write(record, None)
+    ticker.close()
+    print(ticker.model.summary(), file=out)
+    return ticker.model
 
 
 def cmd_watch(args) -> int:

@@ -46,7 +46,6 @@ from .errors import (
 from .events import (
     EVENT_KINDS,
     EVENT_SCHEMA_VERSION,
-    NULL_EVENTS,
     DatagramEventSink,
     EventBus,
     EventSink,
@@ -125,7 +124,6 @@ from .profiling import (
 from .progress import (
     ProgressEvent,
     ProgressReporter,
-    console_observer,
     format_duration,
 )
 from .resources import (

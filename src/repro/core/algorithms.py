@@ -72,7 +72,7 @@ from .checkpoint import (
     sort_plan_by_first_injection,
 )
 from .errors import ConfigurationError, TargetError
-from .events import NULL_EVENTS, resolve_events
+from .events import EventBus, EventSink, resolve_events
 from .faultmodels import is_transient
 from .framework import (
     TargetSystemInterface,
@@ -147,22 +147,80 @@ def fold_engine_stats(metrics, target: TargetSystemInterface) -> None:
             metrics.inc(f"engine.{key}", value)
 
 
+class _DatabaseSink(EventSink):
+    """The database's subscription to the campaign event bus.
+
+    ``span`` records become ``ExperimentSpan`` rows, ``resource_sample``
+    records ``ResourceSample`` rows, and the ``metrics`` record the
+    ``CampaignTelemetry`` snapshot.  ``write`` only queues; the
+    coordinator's ingest writes the queue with its row batches
+    (:meth:`flush`), so no database write runs inside ``EventBus.emit``.
+    """
+
+    wants_line = False
+
+    def __init__(self) -> None:
+        self.spans: list[SpanRecord] = []
+        self.samples: list[ResourceSampleRecord] = []
+        self.snapshot: tuple[str, dict] | None = None
+
+    def write(self, record: dict, line: str | None) -> None:
+        kind = record["kind"]
+        if kind == "span":
+            span = record["span"]
+            self.spans.append(
+                SpanRecord(
+                    experiment_name=span["experiment"],
+                    campaign_name=record["campaign"],
+                    span=span,
+                )
+            )
+        elif kind == "resource_sample":
+            self.samples.append(
+                ResourceSampleRecord(
+                    campaign_name=record["campaign"],
+                    sample=record["sample"],
+                    worker=record["worker"],
+                )
+            )
+        elif kind == "metrics":
+            self.snapshot = (record["campaign"], record["snapshot"])
+
+    @property
+    def pending(self) -> bool:
+        return bool(self.spans or self.samples) or self.snapshot is not None
+
+    def flush(self, db: GoofiDatabase) -> None:
+        if self.spans:
+            db.save_spans(self.spans)
+        if self.samples:
+            db.save_resource_samples(self.samples)
+        if self.snapshot is not None:
+            db.save_campaign_telemetry(*self.snapshot)
+        self.spans, self.samples, self.snapshot = [], [], None
+
+
 class _Ingest:
     """The coordinator's one ingest path, shared by both executors.
 
     Every finished experiment arrives as one result — its record plus
     the span records, probe summaries and resource samples gathered
     with it — and every shard closes with one shard-end summary.  Here
-    the spot-check sample is verified, rows and their side records are
-    batched into the database, progress is reported, and
-    ``experiment_finished`` events are released in plan order, so the
-    stream does not depend on the worker count.
+    the spot-check sample is verified, rows and probe summaries are
+    batched into the database, progress is reported, and the
+    observations go out on the event bus: ``experiment_finished``
+    records in plan order (so the stream does not depend on the worker
+    count), spans and resource samples as they arrive.  The database
+    subscriber's queue is written with each row batch.
     """
 
-    def __init__(self, algorithms, config: CampaignConfig, specs, prune_plan):
+    def __init__(
+        self, algorithms, config: CampaignConfig, specs, prune_plan, store: _DatabaseSink
+    ):
         self.db: GoofiDatabase = algorithms.db
         self.tele = algorithms.telemetry
         self.bus = algorithms.events
+        self.store = store
         self.progress: ProgressReporter = algorithms.progress
         self.campaign = config.name
         self.prune_plan: PrunePlan | None = prune_plan
@@ -171,9 +229,7 @@ class _Ingest:
         self.profiles: list[dict] = []
         self.checkpoint_stats: dict | None = None
         self.rows: list[ExperimentRecord] = []
-        self.spans: list[SpanRecord] = []
         self.probes: list[ProbeRecord] = []
-        self.samples: list[ResourceSampleRecord] = []
         # Workers finish experiments in wall-clock order; events wait
         # here by plan position and release as an in-order prefix.
         self._order = {spec.name: index for index, spec in enumerate(specs)}
@@ -195,27 +251,18 @@ class _Ingest:
         event = self.progress.experiment_done(
             name, record.state_vector["termination"]["outcome"]
         )
-        bus = self.bus
-        if bus.enabled:
-            self._held[self._order[name]] = (event, record.pruned, spot_checked, worker)
-            while self._next in self._held:
-                self._release(self._held.pop(self._next))
-                self._next += 1
+        self._held[self._order[name]] = (event, record.pruned, spot_checked, worker)
+        while self._next in self._held:
+            self._release(self._held.pop(self._next))
+            self._next += 1
         campaign = self.campaign
         for span in spans:
             # Lane annotation for the trace export.
             span.setdefault("worker", worker)
-            # Phase-span events reuse the telemetry record verbatim as
-            # their payload — the stream and the ExperimentSpan table
-            # speak the same dialect.
-            bus.emit("span", campaign=campaign, worker=span["worker"], span=span)
-            self.spans.append(
-                SpanRecord(
-                    experiment_name=span["experiment"],
-                    campaign_name=campaign,
-                    span=span,
-                )
-            )
+            # Phase-span events carry the telemetry record verbatim —
+            # the stream and the ExperimentSpan table speak the same
+            # dialect.
+            self.bus.emit("span", campaign=campaign, worker=span["worker"], span=span)
         for probe in probes or ():
             self.probes.append(
                 ProbeRecord(
@@ -224,8 +271,7 @@ class _Ingest:
                     probe=probe,
                 )
             )
-        if samples:
-            self.add_samples(samples)
+        self.add_samples(samples)
         if len(self.rows) >= BATCH_SIZE:
             self.flush()
 
@@ -248,9 +294,8 @@ class _Ingest:
             self._release(self._held.pop(index))
 
     def add_samples(self, samples: list[dict]) -> None:
-        """Queue resource samples for the next flush, emitting their
-        events on arrival — resource timelines are wall-clock
-        observations with no plan order to restore."""
+        """Emit resource samples on arrival — resource timelines are
+        wall-clock observations with no plan order to restore."""
         self.samples_seen += len(samples)
         for sample in samples:
             self.bus.emit(
@@ -258,11 +303,6 @@ class _Ingest:
                 campaign=self.campaign,
                 worker=sample["worker"],
                 sample=sample,
-            )
-            self.samples.append(
-                ResourceSampleRecord(
-                    campaign_name=self.campaign, sample=sample, worker=sample["worker"]
-                )
             )
 
     def shard_end(self, end: dict) -> None:
@@ -277,24 +317,21 @@ class _Ingest:
             self.checkpoint_stats = {
                 key: total[key] + value for key, value in stats.items()
             }
-        if end.get("samples"):
-            self.add_samples(end["samples"])
+        self.add_samples(end.get("samples", ()))
 
     def flush(self) -> None:
-        """Write the batched rows and their span, probe and resource
-        records, timing the write when telemetry is on."""
-        if not (self.rows or self.spans or self.probes or self.samples):
+        """Write the batched rows and probe summaries plus the database
+        subscriber's queue, timing the write when telemetry is on."""
+        store = self.store
+        if not (self.rows or self.probes or store.pending):
             return
         db = self.db
         started = time.perf_counter()
         if self.rows:
             db.save_experiments(self.rows)
-        if self.spans:
-            db.save_spans(self.spans)
         if self.probes:
             db.save_probes(self.probes)
-        if self.samples:
-            db.save_resource_samples(self.samples)
+        store.flush(db)
         if self.tele.enabled:
             elapsed = time.perf_counter() - started
             metrics = self.tele.metrics
@@ -302,7 +339,7 @@ class _Ingest:
             metrics.observe("db.batch_seconds", elapsed)
             metrics.inc("db.rows", len(self.rows))
             metrics.inc("db.batches")
-        self.rows, self.spans, self.probes, self.samples = [], [], [], []
+        self.rows, self.probes = [], []
 
 
 class InlineExecutor:
@@ -311,7 +348,7 @@ class InlineExecutor:
 
     workers = 1
 
-    def __init__(self, algorithms, sampler: ResourceSampler | None) -> None:
+    def __init__(self, algorithms, sampler: ResourceSampler) -> None:
         self.algorithms = algorithms
         self.sampler = sampler
 
@@ -368,11 +405,12 @@ class FaultInjectionAlgorithms:
         #: a shared no-op) unless ``run_campaign(telemetry=...)`` turned
         #: it on or a worker process installed a local instance.
         self.telemetry = NULL_TELEMETRY
-        #: Active campaign event bus (:mod:`repro.core.events`).
-        #: ``NULL_EVENTS`` unless ``run_campaign(events=...)`` turned it
-        #: on; worker processes never carry a live bus — the coordinator
-        #: owns the sinks and emits in deterministic plan order.
-        self.events = NULL_EVENTS
+        #: The current run's campaign event bus (:mod:`repro.core.events`),
+        #: the one way observation records leave a campaign: the database
+        #: subscribes to it for the run, the ``events=`` sinks receive
+        #: the same records.  Worker processes never emit — the
+        #: coordinator emits in deterministic plan order.
+        self.events = EventBus()
         #: Requested probe configuration for the current campaign run
         #: (``run_campaign(probes=...)``); ``None`` when probing is off.
         self.probe_config: ProbeConfig | None = None
@@ -412,7 +450,6 @@ class FaultInjectionAlgorithms:
         checkpoints: bool = False,
         fast: bool = True,
         telemetry=None,
-        telemetry_jsonl=None,
         probes=None,
         prune=None,
         shared_state: bool = True,
@@ -451,10 +488,11 @@ class FaultInjectionAlgorithms:
         ``telemetry`` turns on campaign telemetry (see
         :func:`repro.core.telemetry.resolve_telemetry` for the accepted
         values: a mode string, a bool, or a ready
-        :class:`~repro.core.telemetry.Telemetry`); ``telemetry_jsonl``
-        additionally streams span records and the final snapshot to a
-        JSON-lines file.  Telemetry never changes logged rows — it only
-        measures the run.
+        :class:`~repro.core.telemetry.Telemetry`).  Span records and the
+        final snapshot go out on the event bus (``span`` and ``metrics``
+        records), from which the database persists them; give
+        ``events`` too to stream them.  Telemetry never changes logged
+        rows — it only measures the run.
 
         ``probes`` turns on campaign-scale propagation probes (see
         :func:`repro.core.probes.resolve_probes` for the accepted
@@ -476,17 +514,20 @@ class FaultInjectionAlgorithms:
         with ``probes`` — a pruned experiment is never executed, so its
         propagation summary cannot be observed.
 
-        ``events`` turns on the campaign event stream (see
+        ``events`` adds sinks to the run's campaign event bus (see
         :func:`repro.core.events.resolve_events` for the accepted
         values: a destination string such as ``"-"``, a JSONL path, a
         ``.sock``/``udp://`` address, a sink list, or a ready
-        :class:`~repro.core.events.EventBus`).  The run then emits
-        versioned records for the campaign lifecycle, every finished
-        experiment (with prune/spot-check provenance and the rolling
-        rate/ETA), telemetry spans, and worker lifecycle — consumed
-        live by ``goofi watch`` or recorded for replay.  Events never
-        change logged rows; emission happens strictly after a row is
-        final.
+        :class:`~repro.core.events.EventBus`, which the caller keeps
+        open).  Every run emits versioned records for the campaign
+        lifecycle, every finished experiment (with prune/spot-check
+        provenance and the rolling rate/ETA), telemetry spans and the
+        final ``metrics`` snapshot, resource samples, and worker
+        lifecycle; the database subscribes for the run, and the sinks
+        given here receive the same records — consumed live by ``goofi
+        watch``, drawn by the ``goofi run`` progress ticker, or
+        recorded for replay.  Events never change logged rows; emission
+        happens strictly after a row is final.
 
         ``shared_state`` (worker processes only) publishes the common
         worker-startup state — reference trace, golden probe snapshots,
@@ -500,9 +541,10 @@ class FaultInjectionAlgorithms:
         sampling period in seconds, a dict, or a ready
         :class:`~repro.core.resources.ResourceConfig`).  Each worker
         then samples its own CPU time, RSS, and shared-memory footprint
-        on that cadence (plus phase boundaries); samples land in the
-        ``ResourceSample`` table, stream as ``resource_sample`` events,
-        and fold into the telemetry snapshot when telemetry is also on.
+        on that cadence (plus phase boundaries); samples go out as
+        ``resource_sample`` events, land in the ``ResourceSample``
+        table, and fold into the telemetry snapshot when telemetry is
+        also on.
         Sampling is read-only observation of the worker process — rows
         are bit-identical with it on or off, and a platform without
         ``/proc`` or ``getrusage`` degrades to no samples, never to a
@@ -523,7 +565,7 @@ class FaultInjectionAlgorithms:
         config = self.read_campaign_data(campaign_name)
         self.experiment_runner(config.technique)  # fail before any work
         self.target.set_fast_path(fast)
-        tele = resolve_telemetry(telemetry, telemetry_jsonl)
+        tele = resolve_telemetry(telemetry)
         if profile and not tele.enabled:
             # The hotspot summary is persisted with the telemetry
             # snapshot, so profiling needs at least metrics mode.
@@ -550,16 +592,18 @@ class FaultInjectionAlgorithms:
         # A bus handed in ready-made (e.g. goofi gate, which appends its
         # verdict after the run) stays open for the caller to close.
         owns_bus = bus is not events
+        store = _DatabaseSink()
+        bus.sinks.append(store)
         self.events = bus
         try:
             return self._run_pipeline(
-                config, resume, workers, checkpoints, fast, shared_state
+                config, resume, workers, checkpoints, fast, shared_state, store
             )
         finally:
-            tele.close()
+            bus.sinks.remove(store)
             if owns_bus:
                 bus.close()
-            self.events = NULL_EVENTS
+            self.events = EventBus()
             self.telemetry = NULL_TELEMETRY
             self.probe_config = None
             self.prune_config = None
@@ -653,6 +697,7 @@ class FaultInjectionAlgorithms:
         checkpoints: bool,
         fast: bool,
         shared_state: bool,
+        store: _DatabaseSink,
     ) -> CampaignResult:
         """resume → reference → plan → prune → golden → event prefix →
         run the remaining experiments on an executor → status →
@@ -662,16 +707,12 @@ class FaultInjectionAlgorithms:
         tele = self.telemetry
         bus = self.events
         progress = self.progress
-        sampler: ResourceSampler | None = None
-        if self.resource_config is not None:
-            # The coordinator samples its own process too (reference,
-            # plan and golden run here); next to worker processes its
-            # samples carry the coordinator's id.  When no backend works
-            # the sampler degrades to a no-op.
-            sampler = ResourceSampler(
-                self.resource_config,
-                worker=COORDINATOR_WORKER if workers > 1 else 0,
-            )
+        # The coordinator samples its own process too (reference, plan
+        # and golden run here).  With resources off, or when no backend
+        # works, the sampler is a no-op.
+        sampler = ResourceSampler(
+            self.resource_config, backend=self.resource_config is not None
+        )
         if resume:
             already_logged = {
                 record.experiment_name for record in db.iter_experiments(config.name)
@@ -686,15 +727,14 @@ class FaultInjectionAlgorithms:
         # worker processes must not race to write.
         with tele.time("phase.reference"):
             trace = self.make_reference_run(config)
-        if sampler is not None:
-            sampler.sample("reference")
+        sampler.sample("reference")
         space = self.target.location_space()
         with tele.time("phase.plan"):
             plan = PlanGenerator(config, space, trace).generate()
-        if sampler is not None:
-            sampler.sample("plan")
+        sampler.sample("plan")
         remaining = [spec for spec in plan if spec.name not in already_logged]
         prune_plan: PrunePlan | None = None
+        upfront: list[ExperimentRecord] = []
         if self.prune_config is not None:
             with tele.time("phase.prune"):
                 prune_plan = build_prune_plan(
@@ -740,8 +780,7 @@ class FaultInjectionAlgorithms:
                 # The golden pass also records per-element liveness —
                 # the same summary the pruning classifier reasons from.
                 golden.liveness = liveness_map(trace)
-            if sampler is not None:
-                sampler.sample("golden")
+            sampler.sample("golden")
         use_checkpoints = checkpoints and self.target.supports_checkpoints
         if use_checkpoints:
             # First-injection order makes the breakpoint sequence
@@ -757,42 +796,43 @@ class FaultInjectionAlgorithms:
             executor = ProcessExecutor(
                 self, min(workers, len(remaining)), fast, shared_state
             )
+            # Next to worker processes the coordinator's own samples
+            # carry its id, the ones already taken included.
+            sampler.worker = COORDINATOR_WORKER
+            for sample in sampler.pending:
+                sample["worker"] = COORDINATOR_WORKER
         else:
             executor = InlineExecutor(self, sampler)
-        if bus.enabled:
+        bus.emit(
+            "campaign_planned",
+            campaign=config.name,
+            technique=config.technique,
+            workload=config.workload,
+            planned=len(plan),
+            already_logged=len(already_logged),
+            pruned=len(prune_plan.pruned_specs) if prune_plan is not None else 0,
+            to_run=len(remaining),
+            workers=executor.workers,
+            checkpoints=use_checkpoints,
+        )
+        # Skipped experiments were logged up front from synthesised rows;
+        # their events carry the provenance flag and no run-progress
+        # counter (they never run).
+        for record in upfront:
             bus.emit(
-                "campaign_planned",
+                "experiment_finished",
                 campaign=config.name,
-                technique=config.technique,
-                workload=config.workload,
-                planned=len(plan),
-                already_logged=len(already_logged),
-                pruned=(
-                    len(prune_plan.pruned_specs) if prune_plan is not None else 0
-                ),
-                to_run=len(remaining),
-                workers=executor.workers,
-                checkpoints=use_checkpoints,
+                experiment=record.experiment_name,
+                outcome=record.state_vector["termination"]["outcome"],
+                completed=None,
+                total=len(remaining),
+                elapsed_seconds=None,
+                rate=None,
+                eta_seconds=None,
+                pruned=True,
+                spot_check=False,
+                worker=0,
             )
-            # Skipped experiments were logged up front from synthesised
-            # rows; their events carry the provenance flag and no
-            # run-progress counter (they never run).
-            if prune_plan is not None:
-                for record in prune_plan.upfront_records():
-                    bus.emit(
-                        "experiment_finished",
-                        campaign=config.name,
-                        experiment=record.experiment_name,
-                        outcome=record.state_vector["termination"]["outcome"],
-                        completed=None,
-                        total=len(remaining),
-                        elapsed_seconds=None,
-                        rate=None,
-                        eta_seconds=None,
-                        pruned=True,
-                        spot_check=False,
-                        worker=0,
-                    )
         progress.start(config.name, len(remaining))
         bus.emit(
             "campaign_started",
@@ -808,8 +848,9 @@ class FaultInjectionAlgorithms:
             len(already_logged),
             ", checkpointing" if use_checkpoints else "",
         )
-        ingest = _Ingest(self, config, remaining, prune_plan)
+        ingest = _Ingest(self, config, remaining, prune_plan, store)
         failed = False
+        snapshot = None
         try:
             executor.run(config, remaining, trace, golden, use_checkpoints, ingest)
         except BaseException:
@@ -817,9 +858,8 @@ class FaultInjectionAlgorithms:
             raise
         finally:
             aborted = progress.abort_requested
-            if sampler is not None:
-                sampler.sample("finish")
-                ingest.add_samples(sampler.drain())
+            sampler.sample("finish")
+            ingest.add_samples(sampler.drain())
             # A crashing experiment must not lose the batched records
             # accumulated before it, nor leave the campaign stuck at
             # "running" — flush and mark aborted before propagating.
@@ -845,24 +885,16 @@ class FaultInjectionAlgorithms:
                 progress.elapsed_seconds,
             )
             ingest.release_held()
+            if not failed and tele.enabled:
+                snapshot = self._finish_telemetry(
+                    config.name, executor.workers, ingest, sampler
+                )
             bus.emit(
                 "campaign_aborted" if status == "aborted" else "campaign_finished",
                 campaign=config.name,
                 completed=ingest.completed,
                 total=len(remaining),
                 elapsed_seconds=round(progress.elapsed_seconds, 6),
-            )
-        profile_data = None
-        if ingest.profiles:
-            profile_data = profile_summary(
-                merge_profile_stats(ingest.profiles), workers=len(ingest.profiles)
-            )
-        snapshot = None
-        if tele.enabled:
-            if sampler is not None:
-                sampler.fold_into(tele.metrics)
-            snapshot = self._finish_telemetry(
-                config.name, executor.workers, ingest.checkpoint_stats, profile_data
             )
         return CampaignResult(
             campaign_name=config.name,
@@ -873,9 +905,9 @@ class FaultInjectionAlgorithms:
             checkpoint_stats=ingest.checkpoint_stats,
             telemetry=snapshot,
             prune=prune_plan.report() if prune_plan is not None else None,
-            profile=profile_data,
+            profile=snapshot.get("profile") if snapshot is not None else None,
             resource_samples=(
-                ingest.samples_seen if sampler is not None else None
+                ingest.samples_seen if self.resource_config is not None else None
             ),
         )
 
@@ -890,7 +922,7 @@ class FaultInjectionAlgorithms:
         checkpoints: bool = False,
         golden=None,
         initial=None,
-        sampler: ResourceSampler | None = None,
+        sampler: ResourceSampler,
     ) -> dict:
         """Run ``specs`` in this process — the experiment loop of both
         executors.
@@ -901,8 +933,9 @@ class FaultInjectionAlgorithms:
         before each experiment.  ``checkpoints`` gives the shard its own
         checkpoint cache (pre-seeded at cycle 0 with ``initial``, an
         armed fault-free image, when one is given); ``golden`` turns on
-        probing against those snapshots.  Returns the shard-end summary:
-        the ``profile`` table and the ``checkpoint`` cache stats.
+        probing against those snapshots; ``sampler`` takes the cadence
+        resource samples.  Returns the shard-end summary: the
+        ``profile`` table and the ``checkpoint`` cache stats.
         """
         run_experiment = self.experiment_runner(config.technique)
         tele = self.telemetry
@@ -930,15 +963,12 @@ class FaultInjectionAlgorithms:
                 if should_stop():
                     break
                 record = run_experiment(config, spec, trace)
-                samples = None
-                if sampler is not None:
-                    sampler.maybe_sample()
-                    samples = sampler.drain()
+                sampler.maybe_sample()
                 send(
                     record,
                     tele.drain_spans(),
                     probes.drain() if probes is not None else None,
-                    samples,
+                    sampler.drain(),
                 )
         finally:
             if collector is not None:
@@ -954,32 +984,29 @@ class FaultInjectionAlgorithms:
         self,
         campaign_name: str,
         workers: int,
-        checkpoint_stats: dict | None,
-        profile: dict | None,
+        ingest: _Ingest,
+        sampler: ResourceSampler,
     ) -> dict:
-        """Close out a telemetered campaign: fold the execution-engine
-        and checkpoint-cache counters into the registry, write the
-        final snapshot to the database (and the JSONL sink, when one is
-        configured), and return it.  A ``--profile`` run's aggregated
-        hotspot summary rides along in the persisted snapshot under the
-        ``profile`` key."""
-        tele = self.telemetry
-        metrics = tele.metrics
+        """Close out a telemetered campaign: fold the coordinator's
+        resource, execution-engine and checkpoint-cache counters into
+        the registry, emit the final snapshot as the ``metrics`` record,
+        write it with the database subscriber's queue, and return it.
+        A ``--profile`` run's aggregated hotspot summary rides along in
+        the snapshot under the ``profile`` key."""
+        metrics = self.telemetry.metrics
+        sampler.fold_into(metrics)
         fold_engine_stats(metrics, self.target)
-        for key, value in (checkpoint_stats or {}).items():
+        for key, value in (ingest.checkpoint_stats or {}).items():
             metrics.inc(f"checkpoint.cache.{key}", value)
         metrics.set_gauge("workers", workers)
         metrics.set_gauge("elapsed_seconds", self.progress.elapsed_seconds)
-        snapshot = tele.write_snapshot()
-        if profile is not None:
-            snapshot["profile"] = profile
-        self.db.save_campaign_telemetry(campaign_name, snapshot)
-        logger.debug(
-            "campaign %r: telemetry snapshot saved (%d counters, %d timers)",
-            campaign_name,
-            len(snapshot["counters"]),
-            len(snapshot["timers"]),
-        )
+        snapshot = metrics.snapshot()
+        if ingest.profiles:
+            snapshot["profile"] = profile_summary(
+                merge_profile_stats(ingest.profiles), workers=len(ingest.profiles)
+            )
+        self.events.emit("metrics", campaign=campaign_name, snapshot=snapshot)
+        ingest.flush()
         return snapshot
 
     # ------------------------------------------------------------------

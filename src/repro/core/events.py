@@ -22,12 +22,13 @@ record (:class:`repro.core.telemetry.ExperimentSpan`) verbatim as their
 ``span`` payload, so the stream and the ``ExperimentSpan`` table speak
 the same dialect.
 
-Emission must never influence results: the campaign engines emit
-*after* an experiment's row is final, sinks never feed anything back,
-and the disabled path (:data:`NULL_EVENTS`) is a shared null object
-whose ``enabled`` flag the engines check before building payloads — the
-events-off cost is one attribute read per call site, mirroring
-:data:`repro.core.telemetry.NULL_TELEMETRY`.
+The bus is the one way observation records leave a campaign run.  Every
+run has one, possibly with no sinks of its own; the database and the
+progress display are subscribers like any other sink (in-process ones
+that take the record dict and never ask for its JSON line).  Emission
+must never influence results: the campaign engines emit *after* an
+experiment's row is final, and sinks never feed anything back.  A bus
+whose sinks are all in-process encodes nothing.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ EVENT_KINDS = (
     "gate_verdict",         # a dependability-gate verdict (goofi gate --events)
     "resource_sample",      # one worker CPU/RSS/shm sample (additive in v1:
                             # readers must skip unknown kinds, not fail)
+    "metrics",              # the run's final telemetry snapshot (additive in v1)
 )
 
 #: Largest datagram we will send to a socket sink.  Span events for
@@ -78,7 +80,11 @@ class EventSink:
     """Interface of one event destination.  ``write`` takes the record
     dict plus its one-shot JSON encoding (no trailing newline); sinks
     must never raise into the campaign loop — delivery problems are
-    logged and dropped."""
+    logged and dropped.  In-process subscribers set ``wants_line`` to
+    False: the bus then encodes a record only when some other sink
+    needs the line, and passes ``None`` when none does."""
+
+    wants_line = True
 
     def write(self, record: dict, line: str) -> None:  # pragma: no cover
         raise NotImplementedError
@@ -90,7 +96,7 @@ class EventSink:
 class JsonlEventSink(EventSink):
     """Append events to a JSON-lines file (or stdout for ``"-"``),
     flushing after every record so an aborted run still leaves a
-    parseable file — the same contract as the telemetry JSONL sink."""
+    parseable file."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = str(path)
@@ -153,17 +159,19 @@ class EventBus:
     """The per-run event emitter the campaign engines carry.
 
     Sequence numbers are per-bus and gap-free; the bus stamps the
-    envelope and fans the record out to every sink.  One bus serves one
-    campaign run (serial or the parallel *coordinator* — workers never
-    own sinks; their results flow through the coordinator, which emits
-    in deterministic plan order).
+    envelope and fans the record out to every sink in ``sinks`` (a
+    plain list: a campaign run appends its database subscriber for the
+    run's duration), JSON-encoding it at most once and only when a sink
+    wants the line.  One bus serves one campaign run (serial or the
+    parallel *coordinator* — workers never own sinks; their results
+    flow through the coordinator, which emits in deterministic plan
+    order).
     """
 
-    __slots__ = ("sinks", "enabled", "_seq")
+    __slots__ = ("sinks", "_seq")
 
     def __init__(self, sinks: list[EventSink] | tuple[EventSink, ...] = ()) -> None:
         self.sinks = list(sinks)
-        self.enabled = True
         self._seq = 0
 
     def emit(self, kind: str, **fields) -> dict:
@@ -176,8 +184,10 @@ class EventBus:
             "kind": kind,
             **fields,
         }
-        line = _encode(record)
+        line = None
         for sink in self.sinks:
+            if line is None and sink.wants_line:
+                line = _encode(record)
             sink.write(record, line)
         return record
 
@@ -225,30 +235,6 @@ class EventBus:
         self.sinks = []
 
 
-class _NullEventBus(EventBus):
-    """Disabled bus: ``enabled`` is False and every operation a no-op,
-    so call sites guard payload construction with one attribute read."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__(())
-        self.enabled = False
-
-    def emit(self, kind: str, **fields) -> dict:
-        return {}
-
-    def experiment_finished(self, progress_event, **kwargs) -> dict:
-        return {}
-
-    def close(self) -> None:
-        return None
-
-
-#: Shared disabled instance — the default on the campaign engines.
-NULL_EVENTS = _NullEventBus()
-
-
 def events_destination_sink(destination: str) -> EventSink:
     """Build the sink for one ``--events[=DEST]`` destination string:
 
@@ -280,11 +266,11 @@ def resolve_events(value) -> EventBus:
     """Normalise the ``run_campaign(events=...)`` knob.
 
     Accepts a ready :class:`EventBus`, a destination string (see
-    :func:`events_destination_sink`), a list of sinks, or ``None``
-    (off).  Mirrors :func:`repro.core.telemetry.resolve_telemetry`.
+    :func:`events_destination_sink`), a list of sinks, or ``None`` /
+    ``False`` (a bus with no sinks of its own).
     """
     if value is None or value is False:
-        return NULL_EVENTS
+        return EventBus()
     if isinstance(value, EventBus):
         return value
     if isinstance(value, str):

@@ -42,7 +42,7 @@ from . import sharedstate
 from .campaign import CampaignConfig, ExperimentSpec
 from .errors import GoofiError
 from .probes import GoldenSnapshots, ProbeConfig
-from .resources import ResourceConfig, ResourceSampler
+from .resources import ResourceSampler
 from .telemetry import Telemetry
 
 logger = logging.getLogger(__name__)
@@ -77,7 +77,7 @@ def _worker_main(
     checkpoint_capacity,
     fast,
     telemetry_mode,
-    resources_payload,
+    resources,
     profile,
 ):
     """Run one shard of the plan and stream results back.
@@ -120,11 +120,9 @@ def _worker_main(
 
         config = CampaignConfig.from_dict(config_dict)
         tele = Telemetry(telemetry_mode)
-        sampler = None
-        if resources_payload is not None:
-            sampler = ResourceSampler(
-                ResourceConfig.from_dict(resources_payload), worker=worker_id
-            )
+        sampler = ResourceSampler(
+            resources, worker=worker_id, backend=resources is not None
+        )
         with tele.time("phase.worker_startup"):
             target = create_target(config.target)
             target.set_fast_path(fast)
@@ -140,8 +138,7 @@ def _worker_main(
             if probes is not None:
                 algorithms.probe_config = ProbeConfig.from_dict(probes["config"])
                 golden = GoldenSnapshots.from_shared(probes["golden"], shared_view)
-        if sampler is not None:
-            sampler.sample("worker_startup")
+        sampler.sample("worker_startup")
         summary = algorithms.run_shard(
             config,
             [ExperimentSpec.from_dict(spec_dict) for spec_dict in spec_dicts],
@@ -153,10 +150,9 @@ def _worker_main(
             initial=meta["initial"],
             sampler=sampler,
         )
-        if sampler is not None:
-            sampler.sample("shard_end")
-            sampler.fold_into(tele.metrics)
-            summary["samples"] = sampler.drain()
+        sampler.sample("shard_end")
+        sampler.fold_into(tele.metrics)
+        summary["samples"] = sampler.drain()
         if tele.enabled:
             fold_engine_stats(tele.metrics, target)
             summary["metrics"] = tele.metrics.snapshot()
@@ -224,7 +220,6 @@ class ProcessExecutor:
         context = _start_context()
         result_queue = context.Queue()
         abort_event = context.Event()
-        resources = algorithms.resource_config
         # Round-robin sharding keeps the shards balanced even when
         # experiment cost correlates with plan position.
         shards = [specs[start :: self.workers] for start in range(self.workers)]
@@ -243,7 +238,7 @@ class ProcessExecutor:
                     algorithms.checkpoint_capacity,
                     self.fast,
                     tele.mode,
-                    resources.to_dict() if resources is not None else None,
+                    algorithms.resource_config,
                     algorithms.profile,
                 ),
                 daemon=True,

@@ -4,13 +4,14 @@ The paper's progress window (Figure 7) lets the user watch "the number
 of faults injected" and "pause, restart or end the campaign".  This is
 the headless equivalent: a :class:`ProgressReporter` the campaign loop
 notifies after every experiment, with a control knob the observer can
-flip to pause or abort.  The CLI and the examples attach simple
-callbacks; tests attach recording observers.
+flip to pause or abort.  Display is not done here: ``goofi run`` draws
+its progress ticker from the campaign event stream
+(:class:`repro.cli.watch.ProgressTicker`); tests and benchmarks attach
+recording observers.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -156,34 +157,3 @@ class ProgressReporter:
     @property
     def elapsed_seconds(self) -> float:
         return time.monotonic() - self._started_at if self._started_at else 0.0
-
-
-def _progress_line(event: ProgressEvent) -> str:
-    extra = ""
-    if event.rate:
-        extra = f", {event.rate:.1f} exp/s"
-        if event.eta_seconds is not None and event.completed < event.total:
-            extra += f", ETA {format_duration(event.eta_seconds)}"
-    return (
-        f"[{event.campaign_name}] {event.completed}/{event.total} "
-        f"experiments ({event.fraction:.0%}){extra}, "
-        f"last outcome: {event.outcome}"
-    )
-
-
-def console_observer(event: ProgressEvent) -> None:
-    """The ``goofi run`` progress ticker.
-
-    Writes to *stderr*, never stdout — stdout belongs to results
-    (``--events`` JSONL, reports), so piped output stays
-    machine-readable.  On a TTY the line is rewritten in place with a
-    carriage return per experiment (the paper's live progress window);
-    when stderr is not a TTY (CI logs, redirects) carriage-return
-    rewriting is suppressed and one plain line is printed per block of
-    50 experiments and at completion."""
-    stream = sys.stderr
-    if stream.isatty():
-        end = "\n" if event.completed >= event.total else ""
-        print(f"\r\x1b[2K{_progress_line(event)}", end=end, file=stream, flush=True)
-    elif event.completed == event.total or event.completed % 50 == 0:
-        print(_progress_line(event), file=stream)

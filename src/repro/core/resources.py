@@ -116,8 +116,11 @@ class ResourceSampler:
     Each worker owns its own sampler (the record's ``worker`` field says
     whose process the numbers describe; ``COORDINATOR_WORKER`` marks the
     parallel coordinator).  Samples accumulate in :attr:`pending` and are
-    drained by whoever writes them to the database or the event bus,
-    mirroring the span/probe collection pattern.
+    drained by the experiment loop, which hands them to the coordinator
+    for the event bus, mirroring the span/probe collection pattern.
+    ``backend=False`` builds the no-backend state directly (no ``/proc``
+    read): the sampler of a run with resource sampling off, on which
+    every call is a no-op.
     """
 
     __slots__ = (
@@ -128,7 +131,8 @@ class ResourceSampler:
     )
 
     def __init__(self, config: ResourceConfig | None = None, *,
-                 worker: int = 0, proc_root: str | os.PathLike = "/proc/self"):
+                 worker: int = 0, proc_root: str | os.PathLike = "/proc/self",
+                 backend: bool = True):
         self.config = config or ResourceConfig()
         self.worker = worker
         self.pending: list[dict] = []
@@ -149,7 +153,7 @@ class ResourceSampler:
             self._ticks = os.sysconf("SC_CLK_TCK") or 100
         except (AttributeError, OSError, ValueError):
             self._ticks = 100
-        self._source = self._probe_backend()
+        self._source = self._probe_backend() if backend else None
 
     @property
     def available(self) -> bool:

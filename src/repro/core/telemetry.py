@@ -16,9 +16,12 @@ module makes them measurable without perturbing them:
   check), ``metrics`` (aggregate phase timers and counters only), and
   ``spans`` (metrics plus one structured record per experiment
   covering the pipeline phases).
-* Sinks — span records and the final snapshot can stream to a JSONL
-  file for ad-hoc runs; campaign runs persist them into the database
-  (``CampaignTelemetry`` / ``ExperimentSpan`` tables).
+* No sinks of its own — the campaign pipeline emits span records and
+  the final snapshot on the campaign event bus
+  (:mod:`repro.core.events`, kinds ``span`` and ``metrics``), whose
+  database subscriber persists them (``ExperimentSpan`` /
+  ``CampaignTelemetry`` tables) and whose file and socket sinks stream
+  them.
 
 Telemetry must never influence results: nothing in here touches target
 state, rows stay bit-identical in all three modes, and only wall-clock
@@ -29,9 +32,7 @@ for any worker count.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from .errors import ConfigurationError
 
@@ -331,7 +332,7 @@ class ExperimentSpan(MetricsSpan):
     def finish(self, outcome: str | None = None) -> None:
         super().finish()
         self.outcome = outcome
-        self._telemetry._collect(
+        self._telemetry._spans.append(
             {
                 "experiment": self.name,
                 "outcome": outcome,
@@ -345,34 +346,24 @@ class ExperimentSpan(MetricsSpan):
 
 
 class Telemetry:
-    """The per-run telemetry handle the campaign engines carry.
+    """The per-run telemetry handle the campaign engines carry; ``mode``
+    selects how much is recorded."""
 
-    ``mode`` selects how much is recorded; ``jsonl_path`` additionally
-    streams span records (and, on :meth:`write_snapshot`, the final
-    metric snapshot) to a JSON-lines file for ad-hoc runs without a
-    database."""
+    __slots__ = ("mode", "metrics", "_spans")
 
-    __slots__ = ("mode", "metrics", "jsonl_path", "_spans", "_jsonl_file")
-
-    def __init__(self, mode: str = MODE_OFF, jsonl_path: str | Path | None = None) -> None:
+    def __init__(self, mode: str = MODE_OFF) -> None:
         if mode not in _MODES:
             raise ConfigurationError(
                 f"unknown telemetry mode {mode!r}; expected one of {_MODES}"
             )
         self.mode = mode
         self.metrics = MetricsRegistry()
-        self.jsonl_path = str(jsonl_path) if jsonl_path else None
         self._spans: list[dict] = []
-        self._jsonl_file = None
 
     # -- mode ----------------------------------------------------------
     @property
     def enabled(self) -> bool:
         return self.mode != MODE_OFF
-
-    @property
-    def spans_enabled(self) -> bool:
-        return self.mode == MODE_SPANS
 
     # -- spans ---------------------------------------------------------
     def span(self, name: str):
@@ -385,15 +376,11 @@ class Telemetry:
             return MetricsSpan(self.metrics)
         return NULL_SPAN
 
-    def _collect(self, record: dict) -> None:
-        self._spans.append(record)
-        if self.jsonl_path is not None:
-            self._write_jsonl({"kind": "span", **record})
-
     def drain_spans(self) -> list[dict]:
         """Hand over (and forget) the span records finished since the
-        last drain — the campaign loop persists them in batches; the
-        parallel workers ship them with each result message."""
+        last drain — the experiment loop hands them to the coordinator
+        with each finished experiment, which emits them on the event
+        bus."""
         spans, self._spans = self._spans, []
         return spans
 
@@ -404,54 +391,27 @@ class Telemetry:
             return _NULL_CONTEXT
         return self.metrics.time(name)
 
-    # -- sinks ---------------------------------------------------------
-    def _write_jsonl(self, payload: dict) -> None:
-        if self._jsonl_file is None:
-            self._jsonl_file = open(self.jsonl_path, "a", encoding="utf-8")
-        self._jsonl_file.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._jsonl_file.flush()
-
-    def write_snapshot(self) -> dict:
-        """Final snapshot of the registry; also appended to the JSONL
-        sink when one is configured."""
-        snapshot = self.metrics.snapshot()
-        if self.jsonl_path is not None:
-            self._write_jsonl({"kind": "metrics", "snapshot": snapshot})
-        return snapshot
-
-    def close(self) -> None:
-        if self._jsonl_file is not None:
-            self._jsonl_file.close()
-            self._jsonl_file = None
-
 
 #: Shared disabled instance — the default on the campaign engines, so
 #: the un-instrumented path costs one attribute read per call site.
 NULL_TELEMETRY = Telemetry(MODE_OFF)
 
 
-def resolve_telemetry(value, jsonl_path: str | Path | None = None) -> Telemetry:
+def resolve_telemetry(value) -> Telemetry:
     """Normalise the ``run_campaign(telemetry=...)`` knob.
 
     Accepts a ready :class:`Telemetry`, a mode string (``"off"`` /
     ``"metrics"`` / ``"spans"``), a boolean (``True`` → metrics), or
-    ``None`` (off — unless a JSONL path is given, which implies spans,
-    the mode that actually produces per-line records).
+    ``None`` (off).
     """
     if isinstance(value, Telemetry):
         return value
-    if value is None:
-        if jsonl_path is not None:
-            return Telemetry(MODE_SPANS, jsonl_path)
-        return NULL_TELEMETRY
-    if value is False:
+    if value is None or value is False or value == MODE_OFF:
         return NULL_TELEMETRY
     if value is True:
-        return Telemetry(MODE_METRICS, jsonl_path)
+        return Telemetry(MODE_METRICS)
     if isinstance(value, str):
-        if value == MODE_OFF and jsonl_path is None:
-            return NULL_TELEMETRY
-        return Telemetry(value, jsonl_path)
+        return Telemetry(value)
     raise ConfigurationError(
         f"telemetry must be a mode string, bool, or Telemetry; got {value!r}"
     )

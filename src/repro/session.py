@@ -141,7 +141,6 @@ class GoofiSession:
         checkpoints: bool = False,
         fast: bool = True,
         telemetry=None,
-        telemetry_jsonl=None,
         probes=None,
         prune=None,
         shared_state: bool = True,
@@ -157,8 +156,7 @@ class GoofiSession:
         target's reference execution loop instead of the fused fast
         path.  ``telemetry`` records campaign metrics (and, at
         ``"spans"``, per-experiment phase records) into the database —
-        see :mod:`repro.core.telemetry`; ``telemetry_jsonl`` also
-        streams them to a JSON-lines file.  ``probes`` turns on
+        see :mod:`repro.core.telemetry`.  ``probes`` turns on
         propagation probes (``True``, a probe period, or a
         :class:`repro.core.probes.ProbeConfig`) which record a
         fault-effect summary per experiment — see
@@ -167,9 +165,13 @@ class GoofiSession:
         :class:`repro.core.liveness.PruneConfig`): experiments whose
         faults are provably overwritten before being read are logged
         without simulation — see :mod:`repro.core.liveness`.  ``events``
-        streams versioned campaign lifecycle records (a destination
-        string, sink list, or :class:`repro.core.events.EventBus`) for
-        ``goofi watch`` and recording — see :mod:`repro.core.events`.
+        adds sinks to the run's event bus (a destination string, sink
+        list, or :class:`repro.core.events.EventBus`), which carries
+        every observation record — lifecycle, experiments, spans, the
+        final ``metrics`` snapshot, resource samples — for ``goofi
+        watch``, the progress ticker, and recording; the database
+        persists its share from the same bus — see
+        :mod:`repro.core.events`.
         ``resources`` samples each worker's CPU/RSS/shared-memory
         footprint into the ``ResourceSample`` table (``True``, a
         sampling period in seconds, or a
@@ -186,7 +188,6 @@ class GoofiSession:
             checkpoints=checkpoints,
             fast=fast,
             telemetry=telemetry,
-            telemetry_jsonl=telemetry_jsonl,
             probes=probes,
             prune=prune,
             shared_state=shared_state,

@@ -359,7 +359,7 @@ class TestCampaignLoopCrashSafety:
     up to 63 batched pending records and leave the campaign status stuck
     at ``"running"``."""
 
-    def _run_with_crash_at(self, session, monkeypatch, crash_index: int):
+    def _run_with_crash_at(self, session, monkeypatch, crash_index: int, **run):
         from repro.core.algorithms import FaultInjectionAlgorithms
 
         original = FaultInjectionAlgorithms._run_scifi_experiment
@@ -375,13 +375,25 @@ class TestCampaignLoopCrashSafety:
             FaultInjectionAlgorithms, "_run_scifi_experiment", crashing
         )
         with pytest.raises(RuntimeError, match="wedged"):
-            session.run_campaign("c")
+            session.run_campaign("c", **run)
 
     def test_pending_records_flushed_and_status_aborted(self, session, monkeypatch):
         make_campaign(session, "c", num_experiments=20, seed=71)
         self._run_with_crash_at(session, monkeypatch, crash_index=7)
         # 7 completed experiments (all < the 64-record batch) + reference.
         assert session.db.count_experiments("c") == 8
+        assert session.db.load_campaign("c").status == "aborted"
+
+    def test_observations_flushed_through_the_bus(self, session, monkeypatch):
+        """Spans and resource samples reach the database through the
+        event bus subscriber, whose queue the same crash-safe flush
+        writes."""
+        make_campaign(session, "c", num_experiments=20, seed=71)
+        self._run_with_crash_at(
+            session, monkeypatch, crash_index=7, telemetry="spans", resources=True
+        )
+        assert session.db.count_spans("c") == 7
+        assert session.db.count_resource_samples("c") >= 1
         assert session.db.load_campaign("c").status == "aborted"
 
     def test_crashed_campaign_is_resumable(self, session, monkeypatch):

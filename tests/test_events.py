@@ -17,7 +17,6 @@ from tests.conftest import make_campaign
 from repro.core.errors import ConfigurationError
 from repro.core.events import (
     EVENT_SCHEMA_VERSION,
-    NULL_EVENTS,
     DatagramEventSink,
     EventBus,
     EventSink,
@@ -105,17 +104,45 @@ class TestEnvelope:
         assert sink.closed
         assert bus.sinks == []
 
-    def test_null_bus_is_disabled_and_inert(self):
-        assert not NULL_EVENTS.enabled
-        assert NULL_EVENTS.emit("span") == {}
-        assert NULL_EVENTS.experiment_finished(None) == {}
-        NULL_EVENTS.close()
+    def test_in_process_sinks_get_no_encoding(self, monkeypatch):
+        """A bus whose sinks are all in-process subscribers never
+        JSON-encodes: they get ``None`` for the line, while the record
+        envelope stays gap-free.  One wire sink encodes once for all."""
+        import repro.core.events as events
+
+        encoded = []
+
+        def counting_encode(record):
+            encoded.append(record["seq"])
+            return json.dumps(record)
+
+        monkeypatch.setattr(events, "_encode", counting_encode)
+
+        class Subscriber(RecordingSink):
+            wants_line = False
+
+        subscriber = Subscriber()
+        bus = EventBus([subscriber])
+        bus.emit("campaign_started", campaign="c", total=1, workers=1)
+        assert EventBus().emit("span", campaign="c")["seq"] == 1
+        assert encoded == []
+        assert subscriber.lines == [None]
+        wire = RecordingSink()
+        bus.sinks.append(wire)
+        bus.emit("campaign_finished", campaign="c")
+        assert encoded == [2]
+        assert json.loads(wire.lines[0])["seq"] == 2
 
 
 class TestResolveEvents:
     def test_none_and_false_are_off(self):
-        assert resolve_events(None) is NULL_EVENTS
-        assert resolve_events(False) is NULL_EVENTS
+        """No destination still gives a live bus — just one with no
+        sinks of its own."""
+        for value in (None, False):
+            bus = resolve_events(value)
+            assert isinstance(bus, EventBus)
+            assert bus.sinks == []
+        assert resolve_events(None) is not resolve_events(None)
 
     def test_bus_passes_through(self):
         bus = EventBus()
@@ -123,7 +150,6 @@ class TestResolveEvents:
 
     def test_string_builds_jsonl_sink(self, tmp_path):
         bus = resolve_events(str(tmp_path / "e.jsonl"))
-        assert bus.enabled
         assert isinstance(bus.sinks[0], JsonlEventSink)
 
     def test_sink_list(self):
@@ -357,28 +383,38 @@ class TestParallelStream:
     ):
         """Resuming a completed campaign leaves nothing to run: every
         worker count then records the same stream and result, and no
-        worker process starts."""
+        worker process starts — so the coordinator's resource samples
+        carry the in-process worker id, in the stream and the table."""
         import dataclasses
 
         make_campaign(session, "c", num_experiments=4, seed=54)
         session.run_campaign("c")
-        wall_clock = {"ts", "elapsed_seconds", "rate", "eta_seconds"}
+        # ``sample`` holds the sampler's CPU/RSS readings.
+        wall_clock = {"ts", "elapsed_seconds", "rate", "eta_seconds", "sample"}
         streams, results = {}, {}
         for workers in (1, 2):
             path = tmp_path / f"w{workers}.jsonl"
             result = session.run_campaign(
                 "c", resume=True, workers=workers, checkpoints=True,
-                events=str(path),
+                events=str(path), resources=True,
             )
             results[workers] = {
                 key: value
                 for key, value in dataclasses.asdict(result).items()
                 if key != "elapsed_seconds"
             }
+            records = read_events(path)
             streams[workers] = [
                 {key: value for key, value in record.items() if key not in wall_clock}
-                for record in read_events(path)
+                for record in records
             ]
+            samples = [r for r in records if r["kind"] == "resource_sample"]
+            assert samples
+            assert {r["worker"] for r in samples} == {0}
+            assert {r["sample"]["worker"] for r in samples} == {0}
+            assert {
+                row.worker for row in session.db.iter_resource_samples("c")
+            } == {0}
         assert streams[2] == streams[1]
         assert results[2] == results[1]
         started = next(r for r in streams[1] if r["kind"] == "campaign_started")

@@ -3,18 +3,39 @@
 from __future__ import annotations
 
 import io
-import sys
 import threading
 import time
 
 import pytest
 
+from repro.cli.watch import ProgressTicker
+from repro.core.events import EventBus
 from repro.core.progress import (
     ProgressEvent,
     ProgressReporter,
-    console_observer,
     format_duration,
 )
+
+
+def tick(completed_counts, total, stream=None, finish=False):
+    """Drive a progress ticker through one campaign's records: started,
+    the given experiment completions, and (optionally) finished."""
+    bus = EventBus([ProgressTicker(stream)])
+    bus.emit("campaign_started", campaign="camp", total=total, workers=1)
+    for completed in completed_counts:
+        bus.emit(
+            "experiment_finished",
+            campaign="camp",
+            experiment=f"camp/exp{completed - 1}",
+            outcome="workload_end",
+            completed=completed,
+            total=total,
+            rate=0.0,
+            eta_seconds=None,
+        )
+    if finish:
+        bus.emit("campaign_finished", campaign="camp", completed=total, total=total)
+    bus.close()
 
 
 class TestReporting:
@@ -135,40 +156,42 @@ class TestFormatDuration:
 
 
 class TestConsoleObserver:
+    """The ``goofi run`` progress ticker: an event-bus subscriber drawing
+    with the ``goofi watch`` renderer."""
+
     def test_prints_to_stderr_not_stdout(self, capsys):
-        event = ProgressEvent("camp", 10, 10, "camp/exp9", "workload_end", 1.0)
-        console_observer(event)
+        tick(range(1, 11), 10, finish=True)
         captured = capsys.readouterr()
         assert "10/10" in captured.err
         assert captured.out == ""
 
     def test_silent_between_blocks(self, capsys):
-        event = ProgressEvent("camp", 3, 10, "camp/exp2", "workload_end", 1.0)
-        console_observer(event)
-        assert capsys.readouterr().err == ""
+        tick([1, 2, 3], 10)
+        err = capsys.readouterr().err
+        assert err.startswith("campaign_started:")
+        assert err.count("\n") == 1  # no experiment line before 50
 
     def test_prints_every_block_of_fifty(self, capsys):
-        event = ProgressEvent("camp", 50, 200, "camp/exp49", "workload_end", 1.0)
-        console_observer(event)
-        assert "50/200" in capsys.readouterr().err
+        tick(range(1, 101), 200)
+        lines = capsys.readouterr().err.splitlines()
+        blocks = [line for line in lines if line.startswith("experiment_finished")]
+        assert len(blocks) == 2
+        assert "50/200" in blocks[0] and "100/200" in blocks[1]
 
     def test_non_tty_has_no_carriage_returns(self, capsys):
         """CI logs and redirected stderr get plain lines, never the
         ``\\r``-rewriting that turns a log file into one long line."""
-        for completed in (50, 100):
-            console_observer(
-                ProgressEvent("camp", completed, 100, "camp/exp", "x", 1.0)
-            )
+        tick(range(1, 101), 100, finish=True)
         err = capsys.readouterr().err
         assert "\r" not in err
-        assert err.count("\n") == 2
+        # campaign_started, two blocks of 50, campaign_finished.
+        assert err.count("\n") == 4
 
-    def test_tty_rewrites_in_place(self, monkeypatch):
+    def test_tty_rewrites_in_place(self):
         stream = io.StringIO()
         stream.isatty = lambda: True  # type: ignore[method-assign]
-        monkeypatch.setattr(sys, "stderr", stream)
-        console_observer(ProgressEvent("camp", 1, 2, "camp/exp0", "x", 1.0))
-        console_observer(ProgressEvent("camp", 2, 2, "camp/exp1", "x", 1.0))
+        tick([1, 2], 2, stream=stream)
         text = stream.getvalue()
-        assert text.count("\r") == 2  # every experiment redraws the line
-        assert text.endswith("\n")  # the final line is terminated
+        # campaign_started and every experiment redraw the line.
+        assert text.count("\r") == 3
+        assert text.endswith("\n")  # closing the bus terminates it

@@ -21,7 +21,9 @@ from repro.analysis import format_stats_report, stats_report, throughput_summary
 from repro.cli.main import main as cli_main
 from repro.core import NULL_TELEMETRY, MetricsRegistry, Telemetry, resolve_telemetry
 from repro.core.errors import ConfigurationError
-from repro.core.progress import ProgressReporter, console_observer, format_duration
+from repro.cli.watch import ProgressTicker
+from repro.core.events import EventBus
+from repro.core.progress import ProgressReporter, format_duration
 from repro.core.telemetry import NULL_SPAN, ExperimentSpan, Histogram, MetricsSpan
 from repro.db import DatabaseError, GoofiDatabase
 from repro.db.schema import SCHEMA_VERSION
@@ -148,8 +150,7 @@ class TestTelemetryHandle:
         assert resolve_telemetry("spans").mode == "spans"
         handle = Telemetry("metrics")
         assert resolve_telemetry(handle) is handle
-        # A JSONL path without an explicit mode implies spans.
-        assert resolve_telemetry(None, "out.jsonl").mode == "spans"
+        assert resolve_telemetry("off") is NULL_TELEMETRY
         with pytest.raises(ConfigurationError):
             resolve_telemetry(3.14)
 
@@ -340,21 +341,31 @@ class TestPersistence:
             session.db.load_campaign_telemetry("gone")
 
     def test_jsonl_sink(self, session, tmp_path):
+        """Spans and the final snapshot stream on the event bus: the
+        ``metrics`` record comes once, after the last experiment record
+        and right before the terminal one, and matches what the
+        database stored."""
         jsonl = tmp_path / "tele.jsonl"
         make_campaign(session, "sink", num_experiments=5)
-        session.run_campaign("sink", telemetry_jsonl=jsonl)
+        result = session.run_campaign("sink", telemetry="spans", events=str(jsonl))
         lines = [
             json.loads(line) for line in jsonl.read_text().splitlines() if line
         ]
         kinds = [line["kind"] for line in lines]
         assert kinds.count("span") == 5
-        assert kinds[-1] == "metrics"
-        assert lines[-1]["snapshot"]["counters"]["experiments"] == 5
+        assert kinds.count("metrics") == 1
+        assert kinds[-2:] == ["metrics", "campaign_finished"]
+        metrics = lines[-2]
+        assert metrics["campaign"] == "sink"
+        assert metrics["snapshot"]["counters"]["experiments"] == 5
+        assert metrics["snapshot"] == result.telemetry
+        assert metrics["snapshot"] == session.db.load_campaign_telemetry("sink")
 
     def test_jsonl_parseable_after_abort(self, session, tmp_path):
-        """The flush-per-record contract: an aborted run's JSONL sink
+        """The flush-per-record contract: an aborted run's event file
         holds one complete, parseable line per span already finished —
-        no buffered tail is lost, no partial line is left behind."""
+        no buffered tail is lost, no partial line is left behind — and
+        the ``metrics`` record still precedes ``campaign_aborted``."""
         jsonl = tmp_path / "tele.jsonl"
         make_campaign(session, "ab", num_experiments=12, seed=55)
 
@@ -364,7 +375,9 @@ class TestPersistence:
 
         session.progress.observers.append(abort_early)
         try:
-            result = session.run_campaign("ab", telemetry_jsonl=jsonl)
+            result = session.run_campaign(
+                "ab", telemetry="spans", events=str(jsonl)
+            )
         finally:
             session.progress.observers.remove(abort_early)
         assert result.aborted
@@ -373,9 +386,12 @@ class TestPersistence:
             for line in jsonl.read_text().splitlines()
             if line
         ]
-        spans = [line for line in lines if line["kind"] == "span"]
+        spans = [line["span"] for line in lines if line["kind"] == "span"]
         assert len(spans) == result.experiments_run
-        assert all(line["experiment"].startswith("ab/") for line in spans)
+        assert all(span["experiment"].startswith("ab/") for span in spans)
+        assert [line["kind"] for line in lines[-2:]] == [
+            "metrics", "campaign_aborted",
+        ]
 
     def test_reader_skips_truncated_final_line(self, tmp_path, caplog):
         """A writer killed mid-line (power cut, SIGKILL) must not make
@@ -445,11 +461,15 @@ class TestProgressRate:
             reporter.experiment_done("e0", "ok")
         assert events[-1].rate == 0.0
 
-    def test_console_observer_shows_rate_and_eta(self, capsys):
-        reporter = ProgressReporter(observers=[console_observer])
+    def test_progress_ticker_shows_rate_and_eta(self, capsys):
+        bus = EventBus([ProgressTicker()])
+        reporter = ProgressReporter()
         reporter.start("c", 100)
+        bus.emit("campaign_started", campaign="c", total=100, workers=1)
         for index in range(50):
-            reporter.experiment_done(f"e{index}", "workload_end")
+            bus.experiment_finished(
+                reporter.experiment_done(f"e{index}", "workload_end")
+            )
         err = capsys.readouterr().err
         assert " exp/s" in err
         assert "ETA " in err

@@ -31,9 +31,10 @@ by method name (:func:`repro.core.plugins.register_technique`):
 
 Two executors run the experiments: :class:`InlineExecutor` in this
 process, and :class:`repro.core.parallel.ProcessExecutor` in worker
-processes (``workers > 1``).  Both deliver one result per experiment to
-the same coordinator ingest, so logged rows and event streams do not
-depend on which one ran.
+processes (``workers > 1``).  Both deliver one result per experiment —
+its row already encoded for the database — to the same coordinator
+ingest, so logged rows and event streams do not depend on which one
+ran.
 
 Each experiment's outcome is logged to the ``LoggedSystemState`` table;
 "in normal mode, the system state is logged only when the termination
@@ -203,9 +204,12 @@ class _DatabaseSink(EventSink):
 class _Ingest:
     """The coordinator's one ingest path, shared by both executors.
 
-    Every finished experiment arrives as one result — its record plus
-    the span records, probe summaries and resource samples gathered
-    with it — and every shard closes with one shard-end summary.  Here
+    Every finished experiment arrives as one result — its encoded
+    ``LoggedSystemState`` row (:meth:`ExperimentRecord.to_row
+    <repro.db.models.ExperimentRecord.to_row>`) and outcome plus the
+    span records, probe summaries and resource samples gathered with it
+    — and every shard closes with one shard-end summary.  Rows are
+    written as they came, never decoded.  Here
     the spot-check sample is verified, rows and probe summaries are
     batched into the database, progress is reported, and the
     observations go out on the event bus: ``experiment_finished``
@@ -228,7 +232,7 @@ class _Ingest:
         self.samples_seen = 0
         self.profiles: list[dict] = []
         self.checkpoint_stats: dict | None = None
-        self.rows: list[ExperimentRecord] = []
+        self.rows: list[tuple] = []
         self.probes: list[ProbeRecord] = []
         # Workers finish experiments in wall-clock order; events wait
         # here by plan position and release as an in-order prefix.
@@ -237,21 +241,19 @@ class _Ingest:
         self._next = 0
         self._released = 0
 
-    def result(self, worker: int, record, spans, probes, samples) -> None:
+    def result(self, worker: int, row: tuple, outcome, spans, probes, samples) -> None:
         """Ingest one finished experiment run by ``worker``."""
-        name = record.experiment_name
+        name = row[ExperimentRecord.ROW_NAME]
         prune_plan = self.prune_plan
         spot_checked = prune_plan is not None and name in prune_plan.spot_checks
         if spot_checked:
             # Hard-fails with PruneDivergence on mismatch; the confirmed
             # synthesised row (pruned flag set) is what gets logged.
-            record = prune_plan.verify_spot_check(name, record)
-        self.rows.append(record)
+            row = prune_plan.verify_spot_check(name, row)
+        self.rows.append(row)
         self.completed += 1
-        event = self.progress.experiment_done(
-            name, record.state_vector["termination"]["outcome"]
-        )
-        self._held[self._order[name]] = (event, record.pruned, spot_checked, worker)
+        event = self.progress.experiment_done(name, outcome)
+        self._held[self._order[name]] = (event, spot_checked, worker)
         while self._next in self._held:
             self._release(self._held.pop(self._next))
             self._next += 1
@@ -276,11 +278,13 @@ class _Ingest:
             self.flush()
 
     def _release(self, held: tuple) -> None:
-        event, pruned, spot_check, worker = held
+        event, spot_check, worker = held
         self._released += 1
         self.bus.experiment_finished(
             event,
-            pruned=pruned,
+            # A run experiment logs a pruned row only as a confirmed
+            # spot-check.
+            pruned=spot_check,
             spot_check=spot_check,
             worker=worker,
             completed=self._released,
@@ -328,7 +332,7 @@ class _Ingest:
         db = self.db
         started = time.perf_counter()
         if self.rows:
-            db.save_experiments(self.rows)
+            db.save_experiment_rows(self.rows)
         if self.probes:
             db.save_probes(self.probes)
         store.flush(db)
@@ -927,9 +931,12 @@ class FaultInjectionAlgorithms:
         """Run ``specs`` in this process — the experiment loop of both
         executors.
 
-        After each experiment ``send(record, spans, probes, samples)``
-        receives its record plus the span records, probe summaries and
-        resource samples gathered with it; ``should_stop()`` is checked
+        After each experiment ``send(row, outcome, spans, probes,
+        samples)`` receives its encoded row
+        (:meth:`ExperimentRecord.to_row
+        <repro.db.models.ExperimentRecord.to_row>`) and termination
+        outcome plus the span records, probe summaries and resource
+        samples gathered with it; ``should_stop()`` is checked
         before each experiment.  ``checkpoints`` gives the shard its own
         checkpoint cache (pre-seeded at cycle 0 with ``initial``, an
         armed fault-free image, when one is given); ``golden`` turns on
@@ -965,7 +972,8 @@ class FaultInjectionAlgorithms:
                 record = run_experiment(config, spec, trace)
                 sampler.maybe_sample()
                 send(
-                    record,
+                    record.to_row(),
+                    record.state_vector["termination"]["outcome"],
                     tele.drain_spans(),
                     probes.drain() if probes is not None else None,
                     sampler.drain(),

@@ -229,23 +229,6 @@ class ExperimentSpec:
     faults: tuple[PlannedFault, ...]
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "index": self.index,
-            "faults": [f.to_dict() for f in self.faults],
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        return cls(
-            name=data["name"],
-            index=int(data["index"]),
-            faults=tuple(PlannedFault.from_dict(f) for f in data["faults"]),
-            seed=int(data["seed"]),
-        )
-
 
 def experiment_name(campaign: str, index: int) -> str:
     """Unique ``experimentName`` key of experiment ``index``."""

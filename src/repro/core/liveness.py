@@ -47,7 +47,6 @@ bit-identical equivalence bar used by the test suite and benchmark.
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -344,19 +343,6 @@ def synthesize_record(
     )
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True)
-
-
-def records_match(expected: ExperimentRecord, actual: ExperimentRecord) -> bool:
-    """Bit-identity on the JSON payloads (the provenance columns —
-    timestamps, the ``pruned`` flag — are deliberately outside the
-    comparison)."""
-    return _canonical(expected.experiment_data) == _canonical(
-        actual.experiment_data
-    ) and _canonical(expected.state_vector) == _canonical(actual.state_vector)
-
-
 @dataclass(slots=True)
 class PrunePlan:
     """The partition of one campaign plan: experiments to simulate,
@@ -393,24 +379,26 @@ class PrunePlan:
             if spec.name not in self.spot_checks
         ]
 
-    def verify_spot_check(
-        self, name: str, simulated: ExperimentRecord
-    ) -> ExperimentRecord:
-        """Compare a spot-check simulation against its synthesised
-        prediction; return the (confirmed) synthesised row to log, or
-        hard-fail the campaign on divergence."""
-        expected = self.synthesized[name]
-        if not records_match(expected, simulated):
+    def verify_spot_check(self, name: str, simulated: tuple) -> tuple:
+        """Compare a spot-check simulation's encoded row
+        (:meth:`ExperimentRecord.to_row`) against its synthesised
+        prediction; return the (confirmed) synthesised row, encoded, to
+        log, or hard-fail the campaign on divergence.
+
+        Bit-identity is on the JSON payloads, ``experimentData`` and
+        ``stateVector``; the provenance columns — timestamps, the
+        ``pruned`` flag — are deliberately outside the comparison."""
+        expected = self.synthesized[name].to_row()
+        parts = [
+            part
+            for part, column in (
+                ("experiment data", ExperimentRecord.ROW_DATA),
+                ("state vector", ExperimentRecord.ROW_STATE),
+            )
+            if expected[column] != simulated[column]
+        ]
+        if parts:
             self.divergences += 1
-            parts = []
-            if _canonical(expected.experiment_data) != _canonical(
-                simulated.experiment_data
-            ):
-                parts.append("experiment data")
-            if _canonical(expected.state_vector) != _canonical(
-                simulated.state_vector
-            ):
-                parts.append("state vector")
             raise PruneDivergence(
                 f"spot-check of pruned experiment {name!r} diverged from its "
                 f"no-effect prediction ({' and '.join(parts)} differ); the "

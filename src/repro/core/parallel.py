@@ -13,13 +13,20 @@ trace, golden probe snapshots and armed initial image the coordinator
 published once (:mod:`repro.core.sharedstate`), runs its shard through
 the same experiment loop as the in-process executor
 (:meth:`~repro.core.algorithms.FaultInjectionAlgorithms.run_shard`), and
-streams one result message per experiment back over a queue.
+streams its results back over a queue in batches: one
+``("results", worker, [result, ...])`` message per ``BATCH_SIZE``
+finished experiments, sent early once the oldest waiting result is
+``_POLL_SECONDS`` old, and always when the shard stops, finishes or
+fails.  A result carries the experiment's row already encoded by
+:meth:`ExperimentRecord.to_row <repro.db.models.ExperimentRecord.to_row>`,
+so the coordinator writes it as it came and never decodes or re-encodes
+it.
 
 Design rules:
 
 * **Single writer** — only the coordinator process touches SQLite.
-  Workers never open the database; results flow through the queue into
-  the coordinator's ingest, which batches them like any other run.
+  Workers never open the database; encoded rows flow through the queue
+  into the coordinator's ingest, which batches them like any other run.
 * **Bit-identical results** — every experiment re-initialises the test
   card and derives its randomness from the per-experiment seed already
   in the plan, so the logged rows (ignoring ``createdAt`` and insertion
@@ -36,10 +43,11 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import queue as queue_module
+import time
 import traceback
 
 from . import sharedstate
-from .campaign import CampaignConfig, ExperimentSpec
+from .algorithms import BATCH_SIZE, fold_engine_stats
 from .errors import GoofiError
 from .probes import GoldenSnapshots, ProbeConfig
 from .resources import ResourceSampler
@@ -68,8 +76,8 @@ def _start_context():
 def _worker_main(
     worker_id,
     algorithms_cls,
-    config_dict,
-    spec_dicts,
+    config,
+    specs,
     result_queue,
     abort_event,
     shared_descriptor,
@@ -80,14 +88,21 @@ def _worker_main(
     resources,
     profile,
 ):
-    """Run one shard of the plan and stream results back.
+    """Run one shard of the plan (``specs``, the coordinator's
+    :class:`~repro.core.campaign.ExperimentSpec` objects, of campaign
+    ``config``) and stream results back.
 
     Two messages, both ``(kind, worker_id, payload)`` tuples:
 
-    * ``("result", worker_id, (record, spans, probes, samples))`` per
-      finished experiment: its :class:`~repro.db.models.ExperimentRecord`
-      plus the span records, probe summaries and resource samples
-      gathered with it;
+    * ``("results", worker_id, [result, ...])``: a batch of finished
+      experiments in shard order, each ``(row, outcome, spans, probes,
+      samples)`` — the experiment's encoded ``LoggedSystemState`` row
+      and termination outcome plus the span records, probe summaries
+      and resource samples gathered with it.  A batch is sent when
+      ``BATCH_SIZE`` results wait, when the oldest has waited
+      ``_POLL_SECONDS`` (checked as each result arrives), and before
+      ``end`` whether the shard finished, stopped or failed, so no
+      finished experiment is lost;
     * ``("end", worker_id, summary)`` once, always last: the shard-end
       summary — ``metrics`` (registry snapshot, when telemetry is on),
       ``profile`` (cProfile table, with ``profile``), ``checkpoint``
@@ -111,14 +126,31 @@ def _worker_main(
     """
     shared_view = None
     summary: dict = {}
+    batch: list[tuple] = []
+    oldest = 0.0
+
+    def send_batch() -> None:
+        nonlocal batch
+        if batch:
+            # A fresh list each time: the queue pickles in a feeder
+            # thread, after put() returns.
+            result_queue.put(("results", worker_id, batch))
+            batch = []
+
+    def send(*result) -> None:
+        nonlocal oldest
+        if not batch:
+            oldest = time.monotonic()
+        batch.append(result)
+        if len(batch) >= BATCH_SIZE or time.monotonic() - oldest >= _POLL_SECONDS:
+            send_batch()
+
     try:
         import repro  # noqa: F401  (registers built-in targets under spawn)
 
-        from .algorithms import fold_engine_stats
         from .plugins import create_target
         from .triggers import ReferenceTrace
 
-        config = CampaignConfig.from_dict(config_dict)
         tele = Telemetry(telemetry_mode)
         sampler = ResourceSampler(
             resources, worker=worker_id, backend=resources is not None
@@ -141,9 +173,9 @@ def _worker_main(
         sampler.sample("worker_startup")
         summary = algorithms.run_shard(
             config,
-            [ExperimentSpec.from_dict(spec_dict) for spec_dict in spec_dicts],
+            specs,
             trace,
-            lambda *result: result_queue.put(("result", worker_id, result)),
+            send,
             abort_event.is_set,
             checkpoints=checkpoints,
             golden=golden,
@@ -166,6 +198,7 @@ def _worker_main(
     finally:
         if shared_view is not None:
             shared_view.close()
+        send_batch()
         result_queue.put(("end", worker_id, summary))
 
 
@@ -229,8 +262,8 @@ class ProcessExecutor:
                 args=(
                     worker_id,
                     type(algorithms),
-                    config.to_dict(),
-                    [spec.to_dict() for spec in shard],
+                    config,
+                    shard,
                     result_queue,
                     abort_event,
                     descriptor,
@@ -288,9 +321,10 @@ class ProcessExecutor:
                             )
                             abort_event.set()
                     continue
-                if kind == "result":
-                    received += 1
-                    ingest.result(worker_id, *payload)
+                if kind == "results":
+                    received += len(payload)
+                    for result in payload:
+                        ingest.result(worker_id, *result)
                     continue
                 live.discard(worker_id)
                 error = payload.get("error")
@@ -312,6 +346,19 @@ class ProcessExecutor:
                 )
         finally:
             abort_event.set()
+            # After an early exit (a coordinator error or interrupt) read
+            # on until every live worker has reported: a worker cannot
+            # exit while its queue feeder is writing a batch nobody reads.
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and any(
+                processes[worker_id].is_alive() for worker_id in live
+            ):
+                try:
+                    kind, worker_id, _ = result_queue.get(timeout=_POLL_SECONDS)
+                except queue_module.Empty:
+                    continue
+                if kind == "end":
+                    live.discard(worker_id)
             for process in processes:
                 process.join(timeout=10)
                 if process.is_alive():

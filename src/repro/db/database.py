@@ -218,15 +218,18 @@ class GoofiDatabase:
     )
 
     def save_experiments(self, records: list[ExperimentRecord]) -> None:
-        """Batch insert — one ``executemany`` in one transaction for a
-        whole campaign chunk, so a flush pays a single statement-prepare
-        and a single commit regardless of batch size."""
+        """Batch insert of records (see :meth:`save_experiment_rows`)."""
+        self.save_experiment_rows([record.to_row() for record in records])
+
+    def save_experiment_rows(self, rows: list[tuple]) -> None:
+        """Batch insert of rows already encoded by
+        :meth:`ExperimentRecord.to_row` — one ``executemany`` in one
+        transaction for a whole campaign chunk, so a flush pays a single
+        statement-prepare and a single commit regardless of batch
+        size."""
         try:
             with self.transaction() as conn:
-                conn.executemany(
-                    self._INSERT_EXPERIMENT_SQL,
-                    [record.to_row() for record in records],
-                )
+                conn.executemany(self._INSERT_EXPERIMENT_SQL, rows)
         except sqlite3.IntegrityError as exc:
             raise DatabaseError(f"batch experiment insert failed: {exc}") from exc
 

@@ -109,6 +109,10 @@ class ExperimentRecord:
     created_at: str = field(default_factory=utc_now)
     pruned: bool = False
 
+    #: Positions in :meth:`to_row` of the name and the two JSON payloads
+    #: (``experimentData``, ``stateVector``).
+    ROW_NAME, ROW_DATA, ROW_STATE = 0, 3, 4
+
     def to_row(self) -> tuple:
         return (
             self.experiment_name,

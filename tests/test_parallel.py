@@ -9,11 +9,16 @@ state.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from tests.conftest import make_campaign
+from repro.core.campaign import PlanGenerator
 from repro.core.errors import ConfigurationError
 from repro.core.parallel import WorkerFailure
+from repro.core.resources import ResourceSampler
+from repro.core.telemetry import Telemetry
 
 
 def rows_by_name(db, campaign: str) -> dict:
@@ -176,6 +181,11 @@ class TestWorkerFailure:
         with pytest.raises(WorkerFailure, match="worker wedged"):
             session.run_campaign("c", workers=3)
         assert session.db.load_campaign("c").status == "aborted"
+        # Round-robin shards give worker 2 experiments 2, 5, 8, 11: the
+        # one it finished before crashing went out in the batch it sent
+        # on failure.
+        logged = {record.experiment_name for record in session.db.iter_experiments("c")}
+        assert "c/exp00002" in logged
         # The healthy workers' records were flushed and the campaign is
         # resumable (the patch is undone in the parent by monkeypatch,
         # and resume re-forks workers without it).
@@ -214,6 +224,57 @@ class TestWorkerFailure:
         with pytest.raises(WorkerFailure, match="KeyboardInterrupt"):
             session.run_campaign("c", workers=3)
         assert session.db.load_campaign("c").status == "aborted"
+
+
+class TestPickleBoundary:
+    """Under the ``spawn`` start method a worker's campaign config and
+    shard (the plan's ``ExperimentSpec`` objects) and its encoded
+    results cross a real pickle boundary; ``fork`` never pickles the
+    config or the shard."""
+
+    @pytest.mark.parametrize(
+        "technique, workload, locations",
+        [
+            ("scifi", "fibonacci", ("internal:regs.*",)),
+            ("pinlevel", "adc_filter", ("boundary:pins.IN0",)),
+            ("swifi_preruntime", "fibonacci", ("memory:data",)),
+            ("swifi_runtime", "fibonacci", ("internal:regs.*",)),
+        ],
+    )
+    def test_specs_survive_pickling(self, session, technique, workload, locations):
+        config = make_campaign(
+            session,
+            "c",
+            workload=workload,
+            technique=technique,
+            locations=locations,
+            num_experiments=6,
+        )
+        trace = session.algorithms.make_reference_run(config)
+        plan = PlanGenerator(config, session.target.location_space(), trace).generate()
+        assert len(plan) == 6
+        for spec in plan:
+            assert pickle.loads(pickle.dumps(spec)) == spec
+        assert pickle.loads(pickle.dumps(config)) == config
+
+    def test_encoded_results_survive_pickling(self, session):
+        config = make_campaign(session, "c", num_experiments=3)
+        algorithms = session.algorithms
+        algorithms.telemetry = Telemetry("spans")
+        trace = algorithms.make_reference_run(config)
+        plan = PlanGenerator(config, session.target.location_space(), trace).generate()
+        results = []
+        algorithms.run_shard(
+            config,
+            plan,
+            trace,
+            lambda *result: results.append(result),
+            lambda: False,
+            sampler=ResourceSampler(None, backend=False),
+        )
+        assert [result[0][0] for result in results] == [spec.name for spec in plan]
+        assert all(result[2] for result in results)  # spans rode along
+        assert pickle.loads(pickle.dumps(results)) == results
 
 
 class TestPluginTechnique:

@@ -253,6 +253,17 @@ class TestSpotCheckSafetyNet:
             session.run_campaign("c", prune=1.0)
         assert session.db.load_campaign("c").status == "aborted"
 
+    def test_divergence_hard_fails_parallel_campaign(self, session, monkeypatch):
+        """The same safety net on the process executor: the coordinator
+        compares each worker's encoded row with the prediction's."""
+        monkeypatch.setattr(
+            ExperimentClassifier, "prunable", lambda self, spec: True
+        )
+        make_campaign(session, "c", num_experiments=20)
+        with pytest.raises(PruneDivergence, match="diverged"):
+            session.run_campaign("c", prune=1.0, workers=2)
+        assert session.db.load_campaign("c").status == "aborted"
+
     def test_divergent_synthesised_rows_not_persisted(
         self, session, monkeypatch
     ):

@@ -68,9 +68,8 @@ def stack_rate(fast: bool) -> float:
     program = s_load("s_fib")
 
     def one_run() -> int:
-        machine.memory[: len(program.program)] = program.program
-        for offset, word in enumerate(program.data):
-            machine.memory[program.data_base + offset] = word
+        machine.load_image(0, program.program)
+        machine.load_image(program.data_base, program.data)
         machine.reset(program.entry_point)
         machine.run(2_000_000)
         return machine.cycle

@@ -4,19 +4,28 @@ Every bench regenerates one table/figure of the experiment index in
 DESIGN.md (E1-E9): it runs the campaigns it needs once (module-scoped
 setup, outside the timed region), times a representative unit of work
 with pytest-benchmark, prints the regenerated table, and writes it to
-``benchmarks/results/`` so the numbers survive output capturing.
+``benchmarks/results/`` so the numbers survive output capturing.  A
+quick-mode run (``GOOFI_BENCH_QUICK=1``) writes to the untracked
+``.benchmarks/quick/`` instead: its shrunken numbers must never
+overwrite the committed full-mode ones.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from repro import CampaignConfig, GoofiSession
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
+_BENCH_DIR = Path(__file__).resolve().parent
+RESULTS_DIR = (
+    _BENCH_DIR.parent / ".benchmarks" / "quick"
+    if os.environ.get("GOOFI_BENCH_QUICK") == "1"
+    else _BENCH_DIR / "results"
+)
 
 
 def write_result(name: str, text: str, data: dict | None = None) -> None:
@@ -26,7 +35,7 @@ def write_result(name: str, text: str, data: dict | None = None) -> None:
     next to the human-readable table so other tooling (CI trend checks,
     plots) does not have to re-parse the text.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     if data is not None:

@@ -35,9 +35,10 @@ run loops over those handlers:
   (no trace/memory hooks, no post-step overlays, register parity off).
   It hoists hot attributes into locals, folds ``stop_at_cycle`` and
   ``max_cycles`` into one precomputed bound, and inlines the
-  instruction-cache hit path.  Its observable behaviour (architectural
-  state, counters, stop reasons, detections) is bit-identical to the
-  reference loop — enforced by ``tests/test_hotloop.py``.
+  instruction-cache hit and miss-fill paths.  Its observable behaviour
+  (architectural state, counters, stop reasons, detections) is
+  bit-identical to the reference loop — enforced by
+  ``tests/test_hotloop.py``.
 
 ``cpu.fast = False`` forces the reference loop for every run.
 """
@@ -61,7 +62,7 @@ from .isa import (
     Op,
     cached_register_events,
 )
-from .memory import Memory, MemoryMap, MemoryViolation
+from .memory import MEMORY_WORDS, Memory, MemoryMap, MemoryViolation
 
 _SIGN_BIT = 0x80000000
 
@@ -393,10 +394,15 @@ class ThorCPU:
         * the two cycle bounds fold into one precomputed ``next_stop``;
           a tie resolves to CYCLE_BREAK because the reference loop
           checks ``stop_at_cycle`` first;
-        * the inlined fetch only short-circuits a *dirty* cache hit
-          (parity in sync by construction); every other case — miss,
-          materialised parity, fetch fault — takes ``Cache.read`` for
-          exact counter and detection behaviour;
+        * the inlined fetch handles the two cases that cannot raise: a
+          *dirty* cache hit (parity in sync by construction) counts a
+          hit, and a tag miss whose PC lies in the program area counts a
+          miss and fills the line from memory, exactly as ``Cache.read``
+          does with ``Memory.fetch`` behind it.  The other two cases
+          take ``Cache.read`` for exact counter and detection
+          behaviour: a hit on a line whose parity was materialised (the
+          parity check) and a fetch outside the program area (counted
+          as a miss, then ``MemoryViolation``);
         * ``cycle`` is incremented exactly where ``step`` does: after
           the handler returns, never on a fetch/decode/execute fault.
         """
@@ -413,6 +419,12 @@ class ThorCPU:
         imask = icache._index_mask
         ibits = icache._index_bits
         icache_read = icache.read
+        memory = self.memory
+        words = memory._words
+        # The fetch window Memory.fetch allows: in range and in the
+        # program area.
+        fetch_lo = max(memory.map.program_base, 0)
+        fetch_hi = min(memory.map.program_limit, MEMORY_WORDS)
         decode_cache = DECODER._cache
         decode_slow = DECODER.decode
         handlers = _HANDLERS
@@ -431,10 +443,22 @@ class ThorCPU:
 
             # -- fetch ------------------------------------------------
             line = ilines[pc & imask]
-            if line._valid and line._dirty and line._tag == (pc >> ibits) & 0xFFFF:
-                icache.hits += 1
-                word = line._data
+            itag = (pc >> ibits) & 0xFFFF
+            if line._valid and line._tag == itag:
+                if line._dirty:
+                    icache.hits += 1
+                    word = line._data
+                else:
+                    word = -1  # parity to check: Cache.read below
+            elif fetch_lo <= pc < fetch_hi:
+                icache.misses += 1
+                word = line._data = words[pc]
+                line._valid = 1
+                line._tag = itag
+                line._dirty = True
             else:
+                word = -1  # fetch fault: Cache.read counts the miss, raises
+            if word < 0:
                 try:
                     word = icache_read(pc)
                 except CacheParityError as exc:
@@ -477,7 +501,14 @@ class ThorCPU:
     # ------------------------------------------------------------------
     def _data_read(self, address: int) -> int:
         address &= 0xFFFF
-        value = self.dcache.read(address)
+        dcache = self.dcache
+        line = dcache.lines[address & dcache._index_mask]
+        if line._valid and line._dirty and line._tag == address >> dcache._index_bits:
+            # Dirty hit: parity in sync by construction, as in _run_fast.
+            dcache.hits += 1
+            value = line._data
+        else:
+            value = dcache.read(address)
         self.mar = address
         self.mdr = value
         if self.mem_hook is not None:

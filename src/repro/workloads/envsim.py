@@ -24,7 +24,7 @@ envelope (a *critical failure*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .control import FIXED_POINT_ONE
 
@@ -38,6 +38,16 @@ def to_signed32(value: int) -> int:
 
 def to_word32(value: int) -> int:
     return int(value) & _WORD_MASK
+
+
+def _copy_plant(plant, memo: dict):
+    """``__deepcopy__`` of a plant model: the scalars plus a new history
+    list.  The history tuples hold only ints, so sharing them is as deep
+    as a copy needs to be, and a checkpoint snapshot costs one list copy
+    instead of a ``deepcopy`` recursion per logged exchange."""
+    clone = replace(plant, history=list(plant.history))
+    memo[id(plant)] = clone
+    return clone
 
 
 @dataclass(slots=True)
@@ -76,6 +86,8 @@ class DCMotor:
         target.write_memory(self.sensor_addr, [to_word32(speed)])
         self.history.append((iteration, u, speed))
 
+    __deepcopy__ = _copy_plant
+
 
 @dataclass(slots=True)
 class WaterTank:
@@ -105,6 +117,8 @@ class WaterTank:
         level = self.step(u)
         target.write_memory(self.sensor_addr, [to_word32(level)])
         self.history.append((iteration, u, level))
+
+    __deepcopy__ = _copy_plant
 
 
 def replay_dc_motor(u_sequence: list[int], **params) -> tuple[list[int], bool]:

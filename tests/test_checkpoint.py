@@ -268,8 +268,18 @@ class TestCampaignEquivalence:
 
         self.run_three_ways(build)
 
-    def test_environment_workload_thor(self):
-        """Checkpoints must snapshot the environment simulator too."""
+    @pytest.mark.parametrize(
+        "environment",
+        [
+            {"name": "dc_motor"},
+            {"name": "water_tank"},
+            {"name": "dc_motor", "faults": {"corrupt_probability": 0.3, "seed": 5}},
+        ],
+        ids=["dc_motor", "water_tank", "faulty_dc_motor"],
+    )
+    def test_environment_workload_thor(self, environment):
+        """Checkpoints must snapshot the environment simulator too,
+        including an environment fault layer's RNG stream."""
         from repro.workloads import load
 
         program = load("control_protected")
@@ -285,7 +295,7 @@ class TestCampaignEquivalence:
                     "control_protected", max_iterations=60
                 ),
                 environment={
-                    "name": "dc_motor",
+                    **environment,
                     "params": {
                         "sensor_addr": program.symbol("sensor"),
                         "actuator_addr": program.symbol("actuator"),

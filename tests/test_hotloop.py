@@ -9,6 +9,8 @@ equivalence down where the two loops are easiest to drive apart:
 * hooks attached *mid-run*, after a fast segment already executed;
 * address breakpoints landing inside a fused segment;
 * stop-at-cycle boundaries, including the tie with the cycle budget;
+* the inlined cache paths: repeated icache miss fills, a fetch outside
+  the program area, and icache/dcache lines corrupted at a break;
 * instruction words rewritten mid-run (the decode caches key on the raw
   word, so self-modified code needs no invalidation);
 * whole campaigns — SCIFI, pre-runtime SWIFI, runtime SWIFI, pin-level,
@@ -27,6 +29,7 @@ from repro import CampaignConfig, GoofiSession, ObservationSpec, Termination
 from repro.targets.stack import StackMachine, s_load
 from repro.targets.thor.assembler import assemble
 from repro.targets.thor.cpu import StopReason, ThorCPU
+from repro.targets.thor.edm import Mechanism
 from repro.targets.thor.testcard import TestCard
 
 
@@ -235,6 +238,90 @@ class TestThorEquivalence:
         """
         fast, ref = self.run_both(source)
         assert fast.detection is not None
+
+    def run_both_after_break(self, source: str, stop_at_cycle: int, mutate):
+        """Run both engines to ``stop_at_cycle``, apply ``mutate`` to
+        each CPU there, resume both, and require identical outcomes."""
+        cpus, stops = [], []
+        for fast in (True, False):
+            cpu = fresh_cpu(source, fast=fast)
+            assert cpu.run(10_000, stop_at_cycle=stop_at_cycle) is StopReason.CYCLE_BREAK
+            mutate(cpu)
+            stops.append(cpu.run(10_000))
+            cpus.append(cpu)
+        assert stops[0] is stops[1]
+        assert cpus[0].save_state() == cpus[1].save_state()
+        return cpus[0]
+
+    def test_fetch_outside_program_area_is_violation(self):
+        # The miss on 0x9000 must not take the inlined fill: Cache.read
+        # counts the miss, then Memory.fetch refuses the data area.
+        fast, _ = self.run_both("BR 0x9000")
+        assert fast.detection.mechanism is Mechanism.MEM_VIOLATION
+        assert fast.pc == 0x9000 and fast.cycle == 1
+        assert (fast.icache.hits, fast.icache.misses) == (0, 2)
+
+    def test_loop_longer_than_icache_repeats_misses(self):
+        # A 43-word loop body on the 32-line direct-mapped icache: each
+        # pass evicts its own head, so the miss fill runs every pass.
+        body = "    ADDI r1, r1, 1\n" * 40
+        source = (
+            "    LDI r2, 6\nloop:\n" + body
+            + "    ADDI r2, r2, -1\n    CMPI r2, 0\n    BGT loop\n    HALT\n"
+        )
+        fast, _ = self.run_both(source)
+        assert fast.halted and fast.detection is None
+        assert fast.regs[1] == 240
+        assert fast.icache.misses > 6 * 20
+        assert fast.icache.hits > 0
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_icache_data_flip_at_break(self, masked):
+        # At cycle 10 the loop head (address 2, ADD r1, r1, r2) sits in a
+        # dirty icache line.  Flipping its data through the CacheLine.data
+        # setter materialises parity, so the next fetch must take the
+        # parity check; flipping the parity bit too masks the error and
+        # the corrupted ADD r0, r1, r2 runs instead.
+        def flip(cpu):
+            line = cpu.icache.lines[cpu.pc & cpu.icache._index_mask]
+            assert line.valid and line.tag == 0
+            line.data ^= 1 << 20
+            if masked:
+                line.parity ^= 1
+
+        cpu = self.run_both_after_break(LOOP_SOURCE, 10, flip)
+        if masked:
+            assert cpu.halted and cpu.detection is None
+            assert cpu.regs[0] != 0
+        else:
+            assert cpu.detection.mechanism is Mechanism.ICACHE_PARITY
+            assert cpu.detection.cycle == 10 and cpu.cycle == 10
+
+    def test_dcache_data_flip_under_lda(self):
+        # The first pass caches ``value``; at cycle 5 the LDA is about to
+        # read it again from a line whose data was flipped from outside.
+        source = """
+            LDI r2, 5
+        loop:
+            LDA r1, value
+            ADDI r2, r2, -1
+            CMPI r2, 0
+            BGT loop
+            HALT
+        .data
+        value: .word 7
+        """
+        address = assemble(source).symbol("value")
+
+        def flip(cpu):
+            assert cpu.pc == 1
+            line = cpu.dcache.lines[address & cpu.dcache._index_mask]
+            assert line.valid and line.data == 7
+            line.data ^= 1
+
+        cpu = self.run_both_after_break(source, 5, flip)
+        assert cpu.detection.mechanism is Mechanism.DCACHE_PARITY
+        assert cpu.detection.cycle == 5 and cpu.cycle == 5
 
     def test_host_rewritten_instruction_mid_run(self):
         # Host DMA rewrites an instruction word between run segments

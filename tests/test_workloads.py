@@ -389,3 +389,61 @@ class TestEnvironmentFaultInjector:
         assert env.history == []
         with pytest.raises(AttributeError):
             env.no_such_attribute
+
+
+def make_plant(kind: str, program):
+    """A plant on ``program``'s sensor/actuator words: a bare DC motor,
+    a bare water tank, or a DC motor behind a sensor-corrupting
+    environment fault layer (whose RNG stream is part of its state)."""
+    from repro.workloads import EnvFaultConfig, EnvironmentFaultInjector
+
+    ports = {
+        "sensor_addr": program.symbol("sensor"),
+        "actuator_addr": program.symbol("actuator"),
+    }
+    if kind == "water_tank":
+        return WaterTank(**ports)
+    if kind == "faulty_dc_motor":
+        return EnvironmentFaultInjector(
+            DCMotor(**ports), EnvFaultConfig(corrupt_probability=0.3, seed=5)
+        )
+    return DCMotor(**ports)
+
+
+class TestPlantSnapshots:
+    """Target checkpoints copy the plant: a restored plant starts from
+    the snapshot's history and RNG, however the live one moved on."""
+
+    @pytest.mark.parametrize("kind", ["dc_motor", "water_tank", "faulty_dc_motor"])
+    def test_restore_twice_from_one_snapshot(self, kind):
+        from repro.targets.thor.interface import ThorTargetInterface
+
+        target = ThorTargetInterface()
+        target.init_test_card()
+        target.load_workload("control_protected")
+        target.set_environment(make_plant(kind, load("control_protected")))
+        target.run_workload()
+        assert target.wait_for_breakpoint(2000) is None
+        snapshot = target.save_state()
+        prefix = list(target.environment.history)
+        assert prefix
+
+        continuations = []
+        for _ in range(2):
+            assert target.wait_for_breakpoint(4000) is None
+            env = target.environment
+            assert len(env.history) > len(prefix)
+            continuations.append((list(env.history), getattr(env, "fault_counts", None)))
+            target.restore_state(snapshot)
+            assert target.environment.history == prefix
+        # The restored plant (and fault RNG) replays the same future.
+        assert continuations[0] == continuations[1]
+        if kind == "faulty_dc_motor":
+            assert continuations[0][1]["corrupted"] > 0
+            rng_state = target.environment._rng.bit_generator.state
+            assert rng_state == snapshot["environment"]._rng.bit_generator.state
+
+        # Mutating the live plant never reaches the cached snapshot.
+        target.environment.history.append((-1, 0, 0))
+        assert snapshot["environment"].history == prefix
+        assert target.environment is not snapshot["environment"]

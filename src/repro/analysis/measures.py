@@ -10,10 +10,10 @@ measure carries a Clopper–Pearson confidence interval.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
-
-from scipy import stats
+from statistics import NormalDist
 
 from ..core.errors import AnalysisError
 from ..core.locations import Location
@@ -44,8 +44,15 @@ class Proportion:
         )
 
 
+def check_confidence(confidence: float) -> None:
+    """Reject a confidence level outside the open interval (0, 1)."""
+    if not 0.0 < confidence < 1.0:
+        raise AnalysisError(f"confidence must be in (0, 1), not {confidence}")
+
+
 def proportion(successes: int, trials: int, confidence: float = 0.95) -> Proportion:
     """Clopper–Pearson (exact beta) interval for a binomial proportion."""
+    check_confidence(confidence)
     if trials < 0 or successes < 0 or successes > trials:
         raise AnalysisError(f"bad proportion {successes}/{trials}")
     if trials == 0:
@@ -55,12 +62,102 @@ def proportion(successes: int, trials: int, confidence: float = 0.95) -> Proport
     if successes == 0:
         low = 0.0
     else:
-        low = float(stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
+        low = _beta_ppf(alpha / 2, successes, trials - successes + 1)
     if successes == trials:
         high = 1.0
     else:
-        high = float(stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        high = _beta_ppf(1 - alpha / 2, successes + 1, trials - successes)
     return Proportion(successes, trials, estimate, low, high, confidence)
+
+
+# ----------------------------------------------------------------------
+# Beta-distribution quantile (the Clopper–Pearson bounds)
+# ----------------------------------------------------------------------
+_TINY = 1e-300  # keeps the Lentz recurrences away from a zero divisor
+_NORMAL = NormalDist()
+
+
+def _beta_cf(x: float, a: float, b: float) -> float:
+    """Continued fraction of the incomplete beta function (A&S 26.5.8),
+    evaluated with the modified Lentz method.  Converges quickly for
+    ``x < (a + 1) / (a + b + 2)``, in O(sqrt(max(a, b))) terms."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    m = 0
+    while True:
+        m += 1
+        m2 = 2 * m
+        # Even term, then odd term, of the fraction.
+        for numerator in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + numerator / c
+            if abs(c) < _TINY:
+                c = _TINY
+            delta = c * d
+            h *= delta
+        if abs(delta - 1.0) < 1e-15 or m > 100_000:
+            return h
+
+
+def _beta_ppf(q: float, a: float, b: float) -> float:
+    """The ``q`` quantile of the Beta(a, b) distribution, ``a, b >= 1``.
+
+    Solves ``I_x(a, b) = q`` for ``x``: Newton steps on the regularised
+    incomplete beta ``I_x`` (whose derivative is the beta density),
+    inside a ``[low, high]`` bracket that falls back to bisection
+    whenever a step would leave it.
+    """
+    if q <= 0.0:
+        return 0.0
+    if q > 0.5:
+        # Solve the smaller tail; I_x(a, b) = 1 - I_{1-x}(b, a).
+        return 1.0 - _beta_ppf(1.0 - q, b, a)
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    switch = (a + 1.0) / (a + b + 2.0)
+    x = _beta_guess(q, a, b)
+    low, high = 0.0, 1.0
+    for _ in range(200):
+        # x^a (1-x)^b / B(a, b): the continued fraction's prefactor, and
+        # the density times x (1 - x).
+        front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
+        if x < switch:
+            cdf = front * _beta_cf(x, a, b) / a
+        else:
+            cdf = 1.0 - front * _beta_cf(1.0 - x, b, a) / b
+        error = cdf - q
+        if error < 0.0:
+            low = x
+        else:
+            high = x
+        density = front / (x * (1.0 - x))
+        step = error / density if density > 0.0 else math.inf
+        if abs(step) <= 1e-9 * x:
+            # Newton converges quadratically: the error left after a step
+            # this small is far below double precision.
+            return x - step
+        x -= step
+        if not low < x < high:
+            x = 0.5 * (low + high)
+    return x
+
+
+def _beta_guess(q: float, a: float, b: float) -> float:
+    """Starting point for :func:`_beta_ppf`: the normal approximation
+    of A&S 26.5.22 (``a, b >= 1``)."""
+    y = -_NORMAL.inv_cdf(q)
+    lam = (y * y - 3.0) / 6.0
+    ra, rb = 1.0 / (2.0 * a - 1.0), 1.0 / (2.0 * b - 1.0)
+    h = 2.0 / (ra + rb)
+    w = y * math.sqrt(h + lam) / h - (rb - ra) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
+    x = a / (a + b * math.exp(2.0 * w))
+    # Keep the start strictly inside (0, 1) so its logs are finite.
+    return min(max(x, 1e-300), 1.0 - 1e-16)
 
 
 def detection_coverage(classification: CampaignClassification) -> Proportion:

@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats
+from statistics import NormalDist
 
 from ..core.errors import AnalysisError, ConfigurationError
-from .measures import Proportion, proportion
+from .measures import Proportion, check_confidence, proportion
 
 
 def _z(confidence: float) -> float:
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence must be in (0, 1), not {confidence}")
-    return float(stats.norm.ppf(0.5 + confidence / 2.0))
+    check_confidence(confidence)
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def required_experiments(

@@ -106,12 +106,18 @@ class SamplePlan:
             raise ConfigurationError(
                 f"sample_plan experiments must be positive, not {self.experiments}"
             )
-        # Same bound required_experiments() enforces, checked here so a
+        # Same bounds required_experiments() enforces, checked here so a
         # bad pack fails at load time instead of mid-run at resolve().
         if self.half_width is not None and not 0.0 < self.half_width < 0.5:
             raise ConfigurationError(
                 f"sample_plan half_width must be in (0, 0.5), not {self.half_width}"
             )
+        for name in ("confidence", "expected_proportion"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ConfigurationError(
+                    f"sample_plan {name} must be in (0, 1), not {value}"
+                )
 
     def resolve(self) -> int:
         """The concrete experiment count."""

@@ -72,6 +72,17 @@ class TestSamplePlan:
         with pytest.raises(ConfigurationError, match="half_width"):
             SamplePlan.from_dict({"half_width": bad})
 
+    @pytest.mark.parametrize("field", ["confidence", "expected_proportion"])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])
+    def test_probability_fields_checked_at_load_time(self, field, bad):
+        """Regression: a pack with ``confidence: 1.0`` or
+        ``expected_proportion: 0`` loaded and then failed mid-run at
+        resolve()."""
+        with pytest.raises(ConfigurationError, match=field):
+            SamplePlan(half_width=0.05, **{field: bad})
+        with pytest.raises(ConfigurationError, match=field):
+            SamplePlan.from_dict({"half_width": 0.05, field: bad})
+
 
 class TestBounds:
     def test_empty_bounds(self):

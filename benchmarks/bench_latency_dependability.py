@@ -53,10 +53,10 @@ def campaign(bench_session):
 
 
 def test_e12_latency_and_dependability(benchmark, bench_session, campaign):
-    statistics = benchmark(detection_latencies, bench_session.db, campaign)
+    classification = classify_campaign(bench_session.db, campaign)
+    statistics = benchmark(detection_latencies, classification)
     assert statistics.count > 20
 
-    classification = classify_campaign(bench_session.db, campaign)
     model = model_from_campaign(
         classification,
         fault_rate=FAULT_RATE_PER_HOUR,

@@ -47,7 +47,8 @@ NON_EFFECTIVE_CATEGORIES = (CATEGORY_LATENT, CATEGORY_OVERWRITTEN)
 
 @dataclass(frozen=True, slots=True)
 class Classification:
-    """The analysis verdict for one experiment."""
+    """The analysis verdict for one experiment, next to the parts of its
+    row every breakdown reads (so none of them re-reads the row)."""
 
     experiment_name: str
     category: str
@@ -58,6 +59,10 @@ class Classification:
     #: State-vector keys that differ from the reference (latent errors;
     #: also filled for escaped wrong-output errors).
     differing_keys: tuple[str, ...] = ()
+    #: The row's ``experimentData`` (faults, index, technique).
+    experiment_data: dict = field(default_factory=dict, compare=False, repr=False)
+    #: The state vector's termination record (outcome, cycle, detection).
+    termination: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def effective(self) -> bool:
@@ -71,27 +76,81 @@ def _output_values(state: dict) -> list[tuple[int, int]]:
     return [(port, value) for _cycle, port, value in state.get("outputs", [])]
 
 
-def _comparable_state(state: dict) -> dict[str, int]:
-    """Flatten the observed state for latent-difference comparison.
-
-    Cycle and iteration counters are excluded: a fault may legitimately
-    lengthen execution without leaving any erroneous state behind.
-    """
-    flat: dict[str, int] = {}
-    for key, value in state.get("scan", {}).items():
-        flat[f"scan:{key}"] = value
-    for address, value in state.get("memory", {}).items():
-        flat[f"mem:{address}"] = value
-    return flat
+#: Comparable parts of an observed state and the prefix of their keys.
+#: Cycle and iteration counters are excluded: a fault may legitimately
+#: lengthen execution without leaving any erroneous state behind.
+_COMPARABLE = (("mem:", "memory"), ("scan:", "scan"))
 
 
 def state_difference(reference: dict, observed: dict) -> tuple[str, ...]:
     """Keys whose values differ between two captured states (symmetric:
-    a key missing on either side counts as differing)."""
-    ref_flat = _comparable_state(reference)
-    obs_flat = _comparable_state(observed)
-    keys = set(ref_flat) | set(obs_flat)
-    return tuple(sorted(k for k in keys if ref_flat.get(k) != obs_flat.get(k)))
+    a key missing on either side counts as differing), sorted."""
+    keys: list[str] = []
+    # "mem:" sorts before "scan:", so sorting per part sorts the whole.
+    # Captured values are ints, so the item views can be xor-ed.
+    for prefix, part in _COMPARABLE:
+        ref = reference.get(part, {})
+        obs = observed.get(part, {})
+        if ref != obs:
+            keys.extend(sorted({prefix + key for key, _ in ref.items() ^ obs.items()}))
+    return tuple(keys)
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceState:
+    """A campaign's reference final state, with its result sequence
+    computed once for every experiment compared against it."""
+
+    final: dict | None
+    outputs: list[tuple[int, int]] | None
+
+    @classmethod
+    def of(cls, state_vector: dict) -> "ReferenceState":
+        final = state_vector.get("final")
+        return cls(final, None if final is None else _output_values(final))
+
+    def classify(self, record: ExperimentRecord) -> Classification:
+        """Classify one experiment against this reference."""
+        name = record.experiment_name
+        try:
+            termination = record.state_vector["termination"]
+            final = record.state_vector["final"]
+        except KeyError as exc:
+            raise AnalysisError(
+                f"experiment {name!r} has a malformed state vector (missing {exc})"
+            ) from exc
+        if self.final is None:
+            raise AnalysisError(
+                f"the reference of experiment {name!r} has a malformed state "
+                f"vector (missing 'final')"
+            )
+        mechanism = escape_kind = None
+        differing: tuple[str, ...] = ()
+        outcome = termination["outcome"]
+        if outcome == "error_detected":
+            category = CATEGORY_DETECTED
+            detection = termination.get("detection") or {}
+            mechanism = detection.get("mechanism", "unknown")
+        elif outcome == "timeout":
+            category, escape_kind = CATEGORY_ESCAPED, ESCAPE_TIMELINESS
+        elif outcome != "workload_end":
+            raise AnalysisError(f"experiment {name!r} has unknown outcome {outcome!r}")
+        else:
+            differing = state_difference(self.final, final)
+            # Identical raw outputs (emission cycles too) skip the projection.
+            if (
+                final.get("outputs", []) != self.final.get("outputs", [])
+                and _output_values(final) != self.outputs
+            ):
+                category, escape_kind = CATEGORY_ESCAPED, ESCAPE_WRONG_OUTPUT
+            elif differing:
+                category = CATEGORY_LATENT
+            else:
+                category = CATEGORY_OVERWRITTEN
+        return Classification(
+            name, category, mechanism, escape_kind, differing,
+            record.experiment_data, termination,
+        )
 
 
 def classify_experiment(
@@ -101,61 +160,34 @@ def classify_experiment(
 
     ``reference_state`` is the reference row's ``stateVector``.
     """
-    state_vector = record.state_vector
-    try:
-        termination = state_vector["termination"]
-        final = state_vector["final"]
-        ref_final = reference_state["final"]
-    except KeyError as exc:
-        raise AnalysisError(
-            f"experiment {record.experiment_name!r} has a malformed state vector "
-            f"(missing {exc})"
-        ) from exc
-
-    outcome = termination["outcome"]
-    if outcome == "error_detected":
-        detection = termination.get("detection") or {}
-        return Classification(
-            experiment_name=record.experiment_name,
-            category=CATEGORY_DETECTED,
-            mechanism=detection.get("mechanism", "unknown"),
-        )
-    if outcome == "timeout":
-        return Classification(
-            experiment_name=record.experiment_name,
-            category=CATEGORY_ESCAPED,
-            escape_kind=ESCAPE_TIMELINESS,
-        )
-    if outcome != "workload_end":
-        raise AnalysisError(
-            f"experiment {record.experiment_name!r} has unknown outcome {outcome!r}"
-        )
-
-    differing = state_difference(ref_final, final)
-    if _output_values(final) != _output_values(ref_final):
-        return Classification(
-            experiment_name=record.experiment_name,
-            category=CATEGORY_ESCAPED,
-            escape_kind=ESCAPE_WRONG_OUTPUT,
-            differing_keys=differing,
-        )
-    if differing:
-        return Classification(
-            experiment_name=record.experiment_name,
-            category=CATEGORY_LATENT,
-            differing_keys=differing,
-        )
-    return Classification(
-        experiment_name=record.experiment_name, category=CATEGORY_OVERWRITTEN
-    )
+    return ReferenceState.of(reference_state).classify(record)
 
 
 @dataclass(slots=True)
 class CampaignClassification:
-    """Aggregated analysis of one campaign."""
+    """The campaign's analysis view: one :class:`Classification` per
+    experiment (in logging order, with its row's ``experimentData`` and
+    termination record), the reference it was classified against, and
+    the outcome counts.  Every report, breakdown, latency table and gate
+    reads the campaign from this one view."""
 
     campaign_name: str
     classifications: list[Classification] = field(default_factory=list)
+    reference: ReferenceState | None = None
+    _categories: Counter = field(init=False, repr=False, compare=False)
+    _mechanisms: Counter = field(init=False, repr=False, compare=False)
+    _escape_kinds: Counter = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._categories = Counter(c.category for c in self.classifications)
+        self._mechanisms = Counter(
+            c.mechanism for c in self.classifications
+            if c.category == CATEGORY_DETECTED and c.mechanism
+        )
+        self._escape_kinds = Counter(
+            c.escape_kind for c in self.classifications
+            if c.category == CATEGORY_ESCAPED and c.escape_kind
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -163,7 +195,7 @@ class CampaignClassification:
         return len(self.classifications)
 
     def count(self, category: str) -> int:
-        return sum(1 for c in self.classifications if c.category == category)
+        return self._categories[category]
 
     @property
     def detected(self) -> int:
@@ -191,18 +223,10 @@ class CampaignClassification:
 
     def by_mechanism(self) -> dict[str, int]:
         """Detected errors broken down per detection mechanism."""
-        counts: Counter[str] = Counter()
-        for c in self.classifications:
-            if c.category == CATEGORY_DETECTED and c.mechanism:
-                counts[c.mechanism] += 1
-        return dict(counts)
+        return dict(self._mechanisms)
 
     def by_escape_kind(self) -> dict[str, int]:
-        counts: Counter[str] = Counter()
-        for c in self.classifications:
-            if c.category == CATEGORY_ESCAPED and c.escape_kind:
-                counts[c.escape_kind] += 1
-        return dict(counts)
+        return dict(self._escape_kinds)
 
     def summary(self) -> dict:
         return {
@@ -220,15 +244,17 @@ class CampaignClassification:
 
 
 def classify_campaign(db: GoofiDatabase, campaign_name: str) -> CampaignClassification:
-    """Classify every experiment of a campaign against its reference."""
+    """Build a campaign's analysis view: classify every experiment
+    against the reference in one pass over its rows."""
     reference = db.load_experiment(reference_name(campaign_name))
-    result = CampaignClassification(campaign_name=campaign_name)
-    for record in db.iter_experiments(campaign_name):
-        if record.experiment_name == reference.experiment_name:
-            continue
-        if record.experiment_data.get("technique") == "reference":
-            continue
-        result.classifications.append(
-            classify_experiment(reference.state_vector, record)
-        )
-    return result
+    state = ReferenceState.of(reference.state_vector)
+    return CampaignClassification(
+        campaign_name,
+        [
+            state.classify(record)
+            for record in db.iter_experiments(campaign_name)
+            if record.experiment_name != reference.experiment_name
+            and record.experiment_data.get("technique") != "reference"
+        ],
+        state,
+    )

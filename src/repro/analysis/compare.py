@@ -16,8 +16,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..core.errors import AnalysisError
-from ..db import GoofiDatabase, reference_name
-from .classify import Classification, classify_campaign
+from ..db import GoofiDatabase
+from .classify import CampaignClassification, classify_campaign
 
 #: Outcome order used for matrix rendering.
 OUTCOMES = ("detected", "escaped", "latent", "overwritten")
@@ -68,23 +68,14 @@ class CampaignComparison:
         return fixed - regressed
 
 
-def _by_index(db: GoofiDatabase, campaign: str,
-              verdicts: dict[str, Classification]) -> dict[int, tuple]:
+def _by_index(view: CampaignClassification) -> dict[int, tuple]:
     experiments: dict[int, tuple] = {}
-    for record in db.iter_experiments(campaign):
-        if record.experiment_data.get("technique") == "reference":
-            continue
-        if record.experiment_name == reference_name(campaign):
-            continue
-        verdict = verdicts.get(record.experiment_name)
-        if verdict is None:
-            continue
-        index = int(record.experiment_data.get("index", -1))
+    for verdict in view.classifications:
+        data = verdict.experiment_data
         faults = tuple(
-            f"{f['location']}@{f['injection_cycle']}"
-            for f in record.experiment_data.get("faults", [])
+            f"{f['location']}@{f['injection_cycle']}" for f in data.get("faults", [])
         )
-        experiments[index] = (faults, verdict.category)
+        experiments[int(data.get("index", -1))] = (faults, verdict.category)
     return experiments
 
 
@@ -102,14 +93,8 @@ def compare_campaigns(
     campaigns on *different targets* (same seed, different location
     spaces), where only the outcome marginals are meaningful.
     """
-    verdicts_a = {
-        c.experiment_name: c for c in classify_campaign(db, campaign_a).classifications
-    }
-    verdicts_b = {
-        c.experiment_name: c for c in classify_campaign(db, campaign_b).classifications
-    }
-    by_index_a = _by_index(db, campaign_a, verdicts_a)
-    by_index_b = _by_index(db, campaign_b, verdicts_b)
+    by_index_a = _by_index(classify_campaign(db, campaign_a))
+    by_index_b = _by_index(classify_campaign(db, campaign_b))
     common = sorted(set(by_index_a) & set(by_index_b))
     if not common:
         raise AnalysisError(

@@ -40,18 +40,10 @@ COLUMNS = [
 
 def export_rows(db: GoofiDatabase, campaign_name: str) -> list[dict]:
     """The export as dictionaries (one per experiment)."""
-    verdicts = {
-        c.experiment_name: c
-        for c in classify_campaign(db, campaign_name).classifications
-    }
     rows: list[dict] = []
-    for record in db.iter_experiments(campaign_name):
-        if record.experiment_data.get("technique") == "reference":
-            continue
-        verdict = verdicts.get(record.experiment_name)
-        if verdict is None:
-            continue
-        faults = record.experiment_data.get("faults", [])
+    for verdict in classify_campaign(db, campaign_name).classifications:
+        data = verdict.experiment_data
+        faults = data.get("faults", [])
         first = faults[0] if faults else {}
         location = first.get("location", {})
         if location.get("kind") == "scan":
@@ -60,13 +52,13 @@ def export_rows(db: GoofiDatabase, campaign_name: str) -> list[dict]:
             location_label = f"memory:0x{int(location.get('address', 0)):04X}"
         else:
             location_label = ""
-        termination = record.state_vector.get("termination", {})
-        latency_sample = _latency_of(record)
+        termination = verdict.termination
+        latency_sample = _latency_of(verdict)
         rows.append(
             {
-                "experiment": record.experiment_name,
-                "index": record.experiment_data.get("index", ""),
-                "technique": record.experiment_data.get("technique", ""),
+                "experiment": verdict.experiment_name,
+                "index": data.get("index", ""),
+                "technique": data.get("technique", ""),
                 "location": location_label,
                 "bit": location.get("bit", ""),
                 "model": (first.get("model") or {}).get("model", ""),

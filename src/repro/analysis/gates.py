@@ -124,7 +124,7 @@ def count_critical_failures(
         outputs = record.state_vector.get("final", {}).get("outputs", [])
         u_sequence = [value for _cycle, port, value in outputs if port == actuator_port]
         _trajectory, failed = replay(u_sequence, **params)
-        timed_out = record.state_vector["termination"]["outcome"] == "timeout"
+        timed_out = record.termination["outcome"] == "timeout"
         critical += bool(failed or timed_out)
     return critical
 
@@ -145,8 +145,13 @@ def evaluate_gate(
     model to replay actuator logs through.
     """
     checks: list[BoundCheck] = []
+    view = (
+        classify_campaign(db, campaign_name)
+        if bounds.min_coverage is not None or bounds.max_latency
+        else None
+    )
     if bounds.min_coverage is not None:
-        coverage = detection_coverage(classify_campaign(db, campaign_name))
+        coverage = detection_coverage(view)
         basis = coverage.ci_low if bounds.coverage_basis == "ci_low" else coverage.estimate
         if math.isnan(basis):
             checks.append(
@@ -172,7 +177,7 @@ def evaluate_gate(
                 )
             )
     if bounds.max_latency:
-        statistics = detection_latencies(db, campaign_name)
+        statistics = detection_latencies(view)
         for key in sorted(bounds.max_latency):
             ceiling = float(bounds.max_latency[key])
             measured = _latency_statistic(statistics, key)

@@ -25,7 +25,7 @@ from html import escape
 from pathlib import Path
 
 from ..db import GoofiDatabase
-from .classify import classify_campaign
+from .classify import CampaignClassification, classify_campaign
 from .latency import detection_latencies
 from .measures import detection_coverage
 from .probes_report import edm_coverage, infection_percentiles, load_probe_payloads
@@ -261,11 +261,11 @@ def _table(headers: list[str], rows: list[list[str]],
 # ----------------------------------------------------------------------
 # Sections (each returns inner HTML, or raises to be skipped)
 # ----------------------------------------------------------------------
-def _section_overview(db: GoofiDatabase, name: str) -> str:
+def _section_overview(db: GoofiDatabase, view: CampaignClassification) -> str:
+    name = view.campaign_name
     record = db.load_campaign(name)
     config = record.config
-    classification = classify_campaign(db, name)
-    coverage = detection_coverage(classification)
+    coverage = detection_coverage(view)
     fault_model = config.get("fault_model", {})
     rows = [
         ["workload", escape(str(config.get("workload", "?")))],
@@ -287,21 +287,20 @@ def _section_overview(db: GoofiDatabase, name: str) -> str:
     return _table(["property", "value"], rows)
 
 
-def _section_coverage(db: GoofiDatabase, name: str) -> str:
-    classification = classify_campaign(db, name)
-    if not classification.total:
+def _section_coverage(db: GoofiDatabase, view: CampaignClassification) -> str:
+    if not view.total:
         raise ValueError("no classified experiments")
     parts = ["<h3>Outcomes</h3>"]
     parts.append(_svg_bars([
-        (category, float(count), f"{count} ({count / classification.total:.1%})")
+        (category, float(count), f"{count} ({count / view.total:.1%})")
         for category, count in (
-            ("detected", classification.detected),
-            ("escaped", classification.escaped),
-            ("latent", classification.latent),
-            ("overwritten", classification.overwritten),
+            ("detected", view.detected),
+            ("escaped", view.escaped),
+            ("latent", view.latent),
+            ("overwritten", view.overwritten),
         )
     ]))
-    mechanisms = classification.by_mechanism()
+    mechanisms = view.by_mechanism()
     if mechanisms:
         parts.append("<h3>Detections per mechanism</h3>")
         parts.append(_svg_bars([
@@ -311,7 +310,7 @@ def _section_coverage(db: GoofiDatabase, name: str) -> str:
             )
         ]))
     try:
-        matrix = edm_coverage(load_probe_payloads(db, name))
+        matrix = edm_coverage(load_probe_payloads(db, view.campaign_name))
     except Exception:
         matrix = None
     if matrix is not None and matrix.classes:
@@ -328,8 +327,8 @@ def _section_coverage(db: GoofiDatabase, name: str) -> str:
     return "".join(parts)
 
 
-def _section_latency(db: GoofiDatabase, name: str) -> str:
-    stats = detection_latencies(db, name)
+def _section_latency(db: GoofiDatabase, view: CampaignClassification) -> str:
+    stats = detection_latencies(view)
     if not stats.count:
         raise ValueError("no detection latencies")
     rows = [[
@@ -357,8 +356,8 @@ def _section_latency(db: GoofiDatabase, name: str) -> str:
     )
 
 
-def _section_infection(db: GoofiDatabase, name: str) -> str:
-    payloads = load_probe_payloads(db, name)
+def _section_infection(db: GoofiDatabase, view: CampaignClassification) -> str:
+    payloads = load_probe_payloads(db, view.campaign_name)
     percentiles = infection_percentiles(payloads)
     curves = []
     for payload in payloads:
@@ -392,8 +391,8 @@ def _section_infection(db: GoofiDatabase, name: str) -> str:
     )
 
 
-def _section_phases(db: GoofiDatabase, name: str) -> str:
-    snapshot = db.load_campaign_telemetry(name)
+def _section_phases(db: GoofiDatabase, view: CampaignClassification) -> str:
+    snapshot = db.load_campaign_telemetry(view.campaign_name)
     phases = phase_breakdown(snapshot)
     if not phases:
         raise ValueError("no phase timers")
@@ -418,8 +417,8 @@ def _section_phases(db: GoofiDatabase, name: str) -> str:
     return chart + table
 
 
-def _section_resources(db: GoofiDatabase, name: str) -> str:
-    samples = [record.sample for record in db.iter_resource_samples(name)]
+def _section_resources(db: GoofiDatabase, view: CampaignClassification) -> str:
+    samples = [record.sample for record in db.iter_resource_samples(view.campaign_name)]
     if not samples:
         raise ValueError("no resource samples")
     folded = resource_summary(samples)
@@ -455,8 +454,8 @@ def _section_resources(db: GoofiDatabase, name: str) -> str:
     return chart + table
 
 
-def _section_trends(db: GoofiDatabase, name: str) -> str:
-    records = list(db.iter_history(name))
+def _section_trends(db: GoofiDatabase, view: CampaignClassification) -> str:
+    records = list(db.iter_history(view.campaign_name))
     if not records:
         raise ValueError("no recorded history")
     records.reverse()  # chronological, oldest first
@@ -497,8 +496,8 @@ def _section_trends(db: GoofiDatabase, name: str) -> str:
     )
 
 
-def _section_profile(db: GoofiDatabase, name: str) -> str:
-    snapshot = db.load_campaign_telemetry(name)
+def _section_profile(db: GoofiDatabase, view: CampaignClassification) -> str:
+    snapshot = db.load_campaign_telemetry(view.campaign_name)
     profile = snapshot.get("profile")
     if not profile or not profile.get("hotspots"):
         raise ValueError("no profile recorded")
@@ -575,15 +574,19 @@ def render_campaign_report(db: GoofiDatabase, campaign_name: str) -> str:
     Sections are built independently; one whose data source is absent
     (campaign run without probes, telemetry, resources, …) is skipped
     and named in the footer, so the report never shows empty charts and
-    never fails because an optional observability layer was off.
+    never fails because an optional observability layer was off.  A row
+    that cannot be classified fails the whole report.
     """
-    # Fail loudly only for a genuinely unknown campaign.
+    # Fail loudly for an unknown campaign, and build the analysis view
+    # before the sections: an unreadable row fails the report instead of
+    # silently dropping the sections that read it.
     db.load_campaign(campaign_name)
+    view = classify_campaign(db, campaign_name)
     rendered: list[tuple[str, str]] = []
     skipped: list[str] = []
     for section in SECTION_IDS:
         try:
-            rendered.append((section, _SECTION_BUILDERS[section](db, campaign_name)))
+            rendered.append((section, _SECTION_BUILDERS[section](db, view)))
         except Exception:
             skipped.append(section)
     body = "".join(

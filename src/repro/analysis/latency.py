@@ -6,10 +6,11 @@ error-detection mechanism fires.  Latency matters because it bounds how
 stale a detected-then-recovered computation can be — short latencies are
 what make backward recovery cheap.
 
-Inputs are the ``LoggedSystemState`` rows: each detected experiment
-carries the detection cycle in its termination record and the injection
-cycle(s) in its ``experimentData``.  Latency is measured from the first
-applied fault.
+Input is a campaign's analysis view
+(:func:`repro.analysis.classify.classify_campaign`): each detected
+experiment carries the detection cycle in its termination record and
+the injection cycle(s) in its ``experimentData``.  Latency is measured
+from the first applied fault.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.errors import AnalysisError
-from ..db import ExperimentRecord, GoofiDatabase
+from .classify import CampaignClassification, Classification
 
 
 class MissingDetectionCycle(AnalysisError):
@@ -103,9 +104,11 @@ class LatencyStatistics:
         ]
 
 
-def _latency_of(record: ExperimentRecord, strict: bool = False) -> LatencySample | None:
-    """The latency sample of one record, or ``None`` for records that
-    carry no latency (not detected, or no applied fault).
+def _latency_of(record: Classification, strict: bool = False) -> LatencySample | None:
+    """The latency sample of one experiment, or ``None`` for experiments
+    that carry no latency (not detected, or no applied fault).  Reads
+    ``experiment_name``, ``experiment_data`` and ``termination``, which a
+    :class:`Classification` and an ``ExperimentRecord`` both carry.
 
     A detected record whose detection event has no cycle cannot yield a
     sample either: returning the injection cycle instead would fabricate
@@ -113,7 +116,7 @@ def _latency_of(record: ExperimentRecord, strict: bool = False) -> LatencySample
     :class:`MissingDetectionCycle` under ``strict`` and are skipped
     (``None``) otherwise.
     """
-    termination = record.state_vector.get("termination", {})
+    termination = record.termination
     if termination.get("outcome") != "error_detected":
         return None
     detection = termination.get("detection") or {}
@@ -145,20 +148,19 @@ def _latency_of(record: ExperimentRecord, strict: bool = False) -> LatencySample
 
 
 def detection_latencies(
-    db: GoofiDatabase, campaign_name: str, strict: bool = False
+    view: CampaignClassification, strict: bool = False
 ) -> LatencyStatistics:
-    """Latency statistics over every detected experiment of a campaign.
+    """Latency statistics over every detected experiment of a campaign's
+    analysis view.
 
     Detected records without a detection cycle are counted in
     ``skipped`` (and reported) — or, under ``strict``, raise
     :class:`MissingDetectionCycle`.
     """
     statistics = LatencyStatistics()
-    for record in db.iter_experiments(campaign_name):
-        if record.experiment_data.get("technique") == "reference":
-            continue
+    for verdict in view.classifications:
         try:
-            sample = _latency_of(record, strict=True)
+            sample = _latency_of(verdict, strict=True)
         except MissingDetectionCycle:
             if strict:
                 raise

@@ -11,18 +11,13 @@ measure carries a Clopper–Pearson confidence interval.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from statistics import NormalDist
 
 from ..core.errors import AnalysisError
 from ..core.locations import Location
-from ..db import ExperimentRecord, GoofiDatabase
-from .classify import (
-    CampaignClassification,
-    Classification,
-    classify_campaign,
-)
+from .classify import CampaignClassification, Classification
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,18 +183,9 @@ def mechanism_shares(classification: CampaignClassification) -> dict[str, Propor
 # ----------------------------------------------------------------------
 # Per-location and per-time breakdowns
 # ----------------------------------------------------------------------
-def _first_fault_location(record: ExperimentRecord) -> str | None:
-    faults = record.experiment_data.get("faults") or []
-    if not faults:
-        return None
-    return Location.from_dict(faults[0]["location"]).element_key
-
-
-def _first_fault_cycle(record: ExperimentRecord) -> int | None:
-    faults = record.experiment_data.get("faults") or []
-    if not faults:
-        return None
-    return int(faults[0]["injection_cycle"])
+def _first_fault(verdict: Classification) -> dict | None:
+    faults = verdict.experiment_data.get("faults") or []
+    return faults[0] if faults else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,9 +208,7 @@ class GroupBreakdown:
         return proportion(self.detected, self.effective)
 
 
-def _aggregate(
-    pairs: list[tuple], label=str
-) -> list[GroupBreakdown]:
+def _aggregate(pairs, label=str) -> list[GroupBreakdown]:
     """Aggregate (key, classification) pairs into per-group breakdowns.
 
     Groups are ordered by their *key* (string keys sort lexically, int
@@ -232,86 +216,62 @@ def _aggregate(
     campaigns of any length); ``label`` renders a key into the displayed
     group name.
     """
-    groups: dict = defaultdict(list)
+    groups: dict = defaultdict(Counter)
     for group, classification in pairs:
-        groups[group].append(classification)
-    breakdowns = []
-    for group in sorted(groups):
-        members = groups[group]
-        counts = {
-            category: sum(1 for m in members if m.category == category)
-            for category in ("detected", "escaped", "latent", "overwritten")
-        }
-        breakdowns.append(
-            GroupBreakdown(
-                group=label(group),
-                total=len(members),
-                detected=counts["detected"],
-                escaped=counts["escaped"],
-                latent=counts["latent"],
-                overwritten=counts["overwritten"],
-            )
+        groups[group][classification.category] += 1
+    return [
+        GroupBreakdown(
+            group=label(group),
+            total=sum(counts.values()),
+            detected=counts["detected"],
+            escaped=counts["escaped"],
+            latent=counts["latent"],
+            overwritten=counts["overwritten"],
         )
-    return breakdowns
+        for group, counts in sorted(groups.items())
+    ]
 
 
-def per_location_breakdown(
-    db: GoofiDatabase, campaign_name: str
-) -> list[GroupBreakdown]:
+def _location_pairs(view: CampaignClassification):
+    """(first-fault element key, classification) per faulted experiment."""
+    for verdict in view.classifications:
+        fault = _first_fault(verdict)
+        if fault is not None:
+            yield Location.from_dict(fault["location"]).element_key, verdict
+
+
+def _location_group(key: str) -> str:
+    """``memory`` for a memory word, else the element's first component
+    (``internal:regs.R1`` -> ``regs``)."""
+    if key.startswith("memory:"):
+        return "memory"
+    return key.partition(":")[2].split(".")[0]
+
+
+def per_location_breakdown(view: CampaignClassification) -> list[GroupBreakdown]:
     """Outcome mix per injected location element (register, cache line,
     memory word, ...)."""
-    classification = classify_campaign(db, campaign_name)
-    by_name = {c.experiment_name: c for c in classification.classifications}
-    pairs: list[tuple[str, Classification]] = []
-    for record in db.iter_experiments(campaign_name):
-        verdict = by_name.get(record.experiment_name)
-        if verdict is None:
-            continue
-        group = _first_fault_location(record)
-        if group is not None:
-            pairs.append((group, verdict))
-    return _aggregate(pairs)
+    return _aggregate(_location_pairs(view))
 
 
-def per_group_breakdown(
-    db: GoofiDatabase, campaign_name: str
-) -> list[GroupBreakdown]:
+def per_group_breakdown(view: CampaignClassification) -> list[GroupBreakdown]:
     """Outcome mix per location *group* (``regs``, ``ctrl``, ``icache``,
     ``dcache``, ``pins``, ``memory``) — the granularity at which the
     paper's analysis examples speak."""
-    pairs: list[tuple[str, Classification]] = []
-    classification = classify_campaign(db, campaign_name)
-    by_name = {c.experiment_name: c for c in classification.classifications}
-    for record in db.iter_experiments(campaign_name):
-        verdict = by_name.get(record.experiment_name)
-        if verdict is None:
-            continue
-        key = _first_fault_location(record)
-        if key is None:
-            continue
-        if key.startswith("memory:"):
-            group = "memory"
-        else:
-            _chain, _, element = key.partition(":")
-            group = element.split(".")[0]
-        pairs.append((group, verdict))
-    return _aggregate(pairs)
+    return _aggregate(
+        (_location_group(key), verdict) for key, verdict in _location_pairs(view)
+    )
 
 
 def per_time_breakdown(
-    db: GoofiDatabase, campaign_name: str, bins: int = 10
+    view: CampaignClassification, bins: int = 10
 ) -> list[GroupBreakdown]:
     """Outcome mix across the injection-time axis, in equal cycle bins."""
-    classification = classify_campaign(db, campaign_name)
-    by_name = {c.experiment_name: c for c in classification.classifications}
-    cycles: list[tuple[int, Classification]] = []
-    for record in db.iter_experiments(campaign_name):
-        verdict = by_name.get(record.experiment_name)
-        if verdict is None:
-            continue
-        cycle = _first_fault_cycle(record)
-        if cycle is not None:
-            cycles.append((cycle, verdict))
+    cycles = [
+        (int(fault["injection_cycle"]), verdict)
+        for verdict in view.classifications
+        if (fault := _first_fault(verdict)) is not None
+    ]
     if not cycles:
         return []
     top = max(cycle for cycle, _ in cycles) + 1

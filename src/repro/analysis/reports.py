@@ -78,24 +78,21 @@ def format_breakdowns(breakdowns: list[GroupBreakdown], title: str) -> str:
 
 def campaign_report(db: GoofiDatabase, campaign_name: str, time_bins: int = 8) -> str:
     """The full analysis-phase report for one campaign."""
-    classification = classify_campaign(db, campaign_name)
+    view = classify_campaign(db, campaign_name)
     sections = [
-        format_classification(classification),
+        format_classification(view),
         "",
-        format_measures(classification),
+        format_measures(view),
         "",
-        format_breakdowns(
-            per_group_breakdown(db, campaign_name),
-            "Outcome mix per location group:",
-        ),
+        format_breakdowns(per_group_breakdown(view), "Outcome mix per location group:"),
         "",
         format_breakdowns(
-            per_time_breakdown(db, campaign_name, bins=time_bins),
+            per_time_breakdown(view, bins=time_bins),
             "Outcome mix per injection-time bin (cycles):",
         ),
     ]
-    if classification.detected:
-        statistics = detection_latencies(db, campaign_name)
+    if view.detected:
+        statistics = detection_latencies(view)
         sections.extend(
             ["", format_latency_report(statistics, "Detection latency (cycles):")]
         )

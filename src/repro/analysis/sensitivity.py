@@ -68,26 +68,17 @@ class BitSensitivity:
 
 def bit_sensitivity(db: GoofiDatabase, campaign_name: str) -> dict[str, BitSensitivity]:
     """Per-element, per-bit sensitivity over a campaign's first faults."""
-    verdicts = {
-        c.experiment_name: c.effective
-        for c in classify_campaign(db, campaign_name).classifications
-    }
     table: dict[str, BitSensitivity] = {}
     widths: dict[str, int] = defaultdict(int)
     samples: list[tuple[str, int, bool]] = []
-    for record in db.iter_experiments(campaign_name):
-        if record.experiment_data.get("technique") == "reference":
-            continue
-        was_effective = verdicts.get(record.experiment_name)
-        if was_effective is None:
-            continue
-        faults = record.experiment_data.get("faults", [])
+    for verdict in classify_campaign(db, campaign_name).classifications:
+        faults = verdict.experiment_data.get("faults", [])
         if not faults:
             continue
         location = Location.from_dict(faults[0]["location"])
         key = location.element_key
         widths[key] = max(widths[key], location.bit + 1)
-        samples.append((key, location.bit, was_effective))
+        samples.append((key, location.bit, verdict.effective))
     for key, bit, was_effective in samples:
         entry = table.get(key)
         if entry is None:

@@ -10,7 +10,7 @@ experiments.
 from __future__ import annotations
 
 from ..core.errors import AnalysisError
-from ..db import GoofiDatabase
+from ..db import DatabaseError, GoofiDatabase
 
 
 def _fmt_secs(seconds: float) -> str:
@@ -287,7 +287,7 @@ def stats_report(
     ]
     try:
         snapshot = db.load_campaign_telemetry(campaign_name)
-    except Exception:
+    except DatabaseError:
         if not resources:
             raise
         snapshot = {}
@@ -304,7 +304,7 @@ def telemetry_section(db: GoofiDatabase, campaign_name: str) -> str | None:
     append telemetry without requiring it."""
     try:
         return stats_report(db, campaign_name)
-    except Exception:
+    except DatabaseError:  # no snapshot and no resource samples
         return None
 
 

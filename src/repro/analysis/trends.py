@@ -84,7 +84,7 @@ def run_summary(
     """
     classification = classify_campaign(db, campaign_name)
     coverage = detection_coverage(classification)
-    latency = detection_latencies(db, campaign_name)
+    latency = detection_latencies(classification)
     summary: dict = {
         "campaign": campaign_name,
         "pack": pack,

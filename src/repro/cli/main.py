@@ -499,7 +499,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.latency:
             from ..analysis import detection_latencies, format_latency_report
 
-            statistics = detection_latencies(session.db, args.campaign)
+            statistics = detection_latencies(session.classify(args.campaign))
             print(
                 format_latency_report(
                     statistics,

@@ -113,6 +113,11 @@ class ExperimentRecord:
     #: (``experimentData``, ``stateVector``).
     ROW_NAME, ROW_DATA, ROW_STATE = 0, 3, 4
 
+    @property
+    def termination(self) -> dict:
+        """The termination record (outcome, cycle, detection), or ``{}``."""
+        return self.state_vector.get("termination", {})
+
     def to_row(self) -> tuple:
         return (
             self.experiment_name,

@@ -256,12 +256,12 @@ class TestEndToEndClassification:
 
         make_campaign(session, "c", num_experiments=30, seed=6)
         session.run_campaign("c")
-        by_location = per_location_breakdown(session.db, "c")
+        by_location = per_location_breakdown(classify_campaign(session.db, "c"))
         assert sum(b.total for b in by_location) == 30
-        by_group = per_group_breakdown(session.db, "c")
+        by_group = per_group_breakdown(classify_campaign(session.db, "c"))
         assert sum(b.total for b in by_group) == 30
         assert all(b.group == "regs" for b in by_group)
-        by_time = per_time_breakdown(session.db, "c", bins=4)
+        by_time = per_time_breakdown(classify_campaign(session.db, "c"), bins=4)
         assert sum(b.total for b in by_time) == 30
         assert len(by_time) <= 4
 
@@ -338,7 +338,7 @@ class TestTimeBreakdownBinOrdering:
         cycles = [500_000, 2_000_000, 4_500_000, 7_000_000, 9_900_000, 12_000_000]
         for index, cycle in enumerate(cycles):
             db.save_experiment(experiment(f"e{index}", cycle=cycle))
-        breakdown = per_time_breakdown(db, "camp", bins=10)
+        breakdown = per_time_breakdown(classify_campaign(db, "camp"), bins=10)
         starts = [int(b.group[1:].split(",")[0]) for b in breakdown]
         assert starts == sorted(starts)
         assert sum(b.total for b in breakdown) == len(cycles)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from tests.conftest import make_campaign
-from repro.analysis import detection_latencies, format_latency_report
+from repro.analysis import classify_campaign, detection_latencies, format_latency_report
 from repro.analysis.latency import (
     LatencySample,
     LatencyStatistics,
@@ -15,7 +15,13 @@ from repro.analysis.latency import (
     _latency_of,
 )
 from repro.core.errors import AnalysisError
-from repro.db import CampaignRecord, ExperimentRecord, GoofiDatabase, TargetSystemRecord
+from repro.db import (
+    CampaignRecord,
+    ExperimentRecord,
+    GoofiDatabase,
+    TargetSystemRecord,
+    reference_name,
+)
 
 
 def detected_record(name: str, injected: int, detected: int,
@@ -84,7 +90,16 @@ class TestSkippedRecords:
         db = GoofiDatabase(":memory:")
         db.save_target(TargetSystemRecord("t", "card", config={}))
         db.save_campaign(CampaignRecord("camp", "t", config={}))
-        db.save_experiments(records)
+        reference = ExperimentRecord(
+            experiment_name=reference_name("camp"),
+            campaign_name="camp",
+            experiment_data={"technique": "reference"},
+            state_vector={
+                "termination": {"outcome": "workload_end", "cycle": 200},
+                "final": {"scan": {}, "memory": {}},
+            },
+        )
+        db.save_experiments([reference, *records])
         return db
 
     def test_skipped_counted_not_sampled(self):
@@ -92,7 +107,7 @@ class TestSkippedRecords:
         broken.state_vector["termination"]["detection"]["cycle"] = None
         good = detected_record("camp/exp_0002", injected=100, detected=150)
         db = self.store([broken, good])
-        statistics = detection_latencies(db, "camp")
+        statistics = detection_latencies(classify_campaign(db, "camp"))
         assert statistics.count == 1
         assert statistics.samples[0].latency == 50
         assert statistics.skipped == 1
@@ -104,7 +119,7 @@ class TestSkippedRecords:
         broken.state_vector["termination"]["detection"]["cycle"] = None
         db = self.store([broken])
         with pytest.raises(MissingDetectionCycle):
-            detection_latencies(db, "camp", strict=True)
+            detection_latencies(classify_campaign(db, "camp"), strict=True)
 
 
 class TestStatistics:
@@ -176,7 +191,7 @@ class TestEndToEnd:
             seed=29,
         )
         session.run_campaign("lat")
-        statistics = detection_latencies(session.db, "lat")
+        statistics = detection_latencies(classify_campaign(session.db, "lat"))
         assert statistics.count > 10
         assert 0 <= statistics.median < 500
         report = format_latency_report(statistics, "latency:")

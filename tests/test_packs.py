@@ -251,6 +251,7 @@ class TestGate:
         import math
 
         from tests.conftest import make_campaign
+        from repro.analysis import classify_campaign
         from repro.analysis.latency import detection_latencies
 
         make_campaign(
@@ -258,7 +259,7 @@ class TestGate:
             num_experiments=4, seed=1234,
         )
         session.run_campaign("silent")
-        assert detection_latencies(session.db, "silent").count == 0
+        assert detection_latencies(classify_campaign(session.db, "silent")).count == 0
         bounds = DependabilityBounds(max_latency={"p95": 100, "max": 100})
         result = evaluate_gate(session.db, "silent", bounds)
         assert result.passed

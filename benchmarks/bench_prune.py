@@ -3,14 +3,18 @@
 Regenerates: skip rate and end-to-end wall-clock speedup of
 ``run_campaign(prune=...)`` over the plain serial loop on an E11-style
 late-injection campaign (every trigger in the last quartile of the
-workload, where dead written-before-read windows are widest), plus the
-correctness bar: a ``--prune`` run with spot-check rate 1.0 re-simulates
-every pruned experiment and must confirm all of them (zero divergences),
-and both pruned runs must log rows bit-identical to the unpruned run.
+workload, where dead written-before-read windows are widest and most
+registers see their last access), plus the correctness bar: a
+``--prune`` run with spot-check rate 1.0 re-simulates every pruned
+experiment and must confirm all of them (zero divergences), and both
+pruned runs must log rows bit-identical to the unpruned run.  Pruned
+rows are synthesised two ways: overwritten flips reuse the reference
+row, latent-tail flips (no access after the injection) carry the flip
+in the final scan capture; the latent count is reported.
 
 Timed unit: one full campaign run (reference run + plan generation +
 classification + all experiments + logging).  The skip-rate floor
-(>= 20% of planned experiments classified no-effect) holds at any size;
+(>= 20% of planned experiments synthesised) holds at any size;
 the speedup assertion fires only in full mode — ``GOOFI_BENCH_QUICK=1``
 (the CI smoke step) shrinks the campaign, where fixed costs dominate.
 """
@@ -110,10 +114,11 @@ def test_bench_prune(bench_session):
         f"  prune, spot-check 0 : {skip_seconds:7.2f}s "
         f"({EXPERIMENTS / skip_seconds:6.1f} exp/s, {speedup:4.2f}x, "
         f"skipped {prune['skipped']}/{prune['planned']} = {skip_rate:.0%}, "
-        f"rows identical)",
+        f"{prune['latent']} latent, rows identical)",
         "  note                : the skip rate is the fraction of planned "
-        "experiments provably overwritten before being read; speedup "
-        "approaches 1/(1 - skip rate) as fixed costs shrink",
+        "experiments whose flip is provably overwritten before being read "
+        "or never read again; speedup approaches 1/(1 - skip rate) as "
+        "fixed costs shrink",
     ]
     write_result(
         "BENCH_prune",
@@ -130,6 +135,7 @@ def test_bench_prune(bench_session):
             "planned": prune["planned"],
             "pruned": prune["pruned"],
             "skipped": prune["skipped"],
+            "latent": prune["latent"],
             "skip_rate": round(skip_rate, 4),
             "spot_check_divergences": verify["divergences"],
             "spot_checked": verify["spot_checks"],

@@ -389,7 +389,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             prune = result.prune
             print(
                 f"prune: {prune['pruned']}/{prune['planned']} experiments "
-                f"classified no-effect, {prune['skipped']} skipped, "
+                f"synthesised ({prune['latent']} latent), "
+                f"{prune['skipped']} skipped, "
                 f"{prune['spot_checks']} spot-checked "
                 f"({prune['divergences']} divergences)",
                 file=out,
@@ -886,8 +887,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         type=float,
         metavar="RATE",
-        help="skip experiments that liveness analysis of the fault-free "
-             "trace proves can have no effect, logging them with a "
+        help="skip experiments whose rows liveness analysis of the "
+             "fault-free trace can predict (the fault is overwritten unread, "
+             "or never read again), logging synthesised rows with a "
              "'pruned' provenance flag instead of simulating them; RATE "
              f"(default: {DEFAULT_SPOT_CHECK_RATE}) of pruned experiments "
              "are re-simulated anyway and the campaign hard-fails if any "

@@ -738,7 +738,7 @@ class FaultInjectionAlgorithms:
         sampler.sample("plan")
         remaining = [spec for spec in plan if spec.name not in already_logged]
         prune_plan: PrunePlan | None = None
-        upfront: list[ExperimentRecord] = []
+        upfront: list[tuple] = []
         if self.prune_config is not None:
             with tele.time("phase.prune"):
                 prune_plan = build_prune_plan(
@@ -755,7 +755,7 @@ class FaultInjectionAlgorithms:
                 # to confirm the prediction.
                 upfront = prune_plan.upfront_records()
                 for start in range(0, len(upfront), 256):
-                    db.save_experiments(upfront[start : start + 256])
+                    db.save_experiment_rows(upfront[start : start + 256])
             logger.info(
                 "campaign %r: pruned %d/%d experiments (%d spot-checks)%s",
                 config.name,
@@ -821,13 +821,15 @@ class FaultInjectionAlgorithms:
         )
         # Skipped experiments were logged up front from synthesised rows;
         # their events carry the provenance flag and no run-progress
-        # counter (they never run).
-        for record in upfront:
+        # counter (they never run).  Every synthesised row ends as the
+        # reference run did.
+        outcome = self._reference_record.termination.get("outcome")
+        for row in upfront:
             bus.emit(
                 "experiment_finished",
                 campaign=config.name,
-                experiment=record.experiment_name,
-                outcome=record.state_vector["termination"]["outcome"],
+                experiment=row[ExperimentRecord.ROW_NAME],
+                outcome=outcome,
                 completed=None,
                 total=len(remaining),
                 elapsed_seconds=None,

@@ -1,30 +1,42 @@
-"""Liveness-based experiment pruning: skip provably no-effect runs.
+"""Liveness-based experiment pruning: skip runs whose rows are known.
 
 The reference (golden) pass already records every architectural register
 and memory access of the fault-free run.  From that trace this module
-pre-classifies planned experiments as **no-effect by construction**: the
-fault lands in a *dead window* — the stretch between the last access of
-an element and the next **whole-element write** — so the corrupted value
-is overwritten before anything reads it.  Such experiments are not
-simulated; their result rows are *synthesised* from the reference run
-and persisted with a ``pruned`` provenance flag, so coverage/latency
-analysis, ``goofi gate`` and sample-size accounting see exactly the rows
-a full simulation would have produced (ZOFI's pre-classification idea;
-gqfi's "skip faults in memory the golden run never uses").
+pre-classifies planned experiments whose result row is **known by
+construction**, in two ways:
+
+* the fault lands in a *dead window* — the stretch between the last
+  access of an element and the next **whole-element write** — so the
+  corrupted value is overwritten before anything reads it, and the row
+  equals the reference's (the analysis classifies it *overwritten*);
+* a register flip lands in the *latent tail* — after the register's
+  last access — so nothing reads it and it survives unchanged into the
+  final scan capture: the row is the reference's with that one bit
+  flipped in the captured register (the analysis classifies it
+  *latent*; *overwritten* when the register is not observed).
+
+Such experiments are not simulated; their result rows are *synthesised*
+from the reference run and persisted with a ``pruned`` provenance flag,
+so coverage/latency analysis, ``goofi gate`` and sample-size accounting
+see exactly the rows a full simulation would have produced (ZOFI's
+pre-classification idea; gqfi's "skip faults in memory the golden run
+never uses").
 
 Soundness is deliberately narrow.  A fault is prunable only when every
 one of these holds:
 
 * **Transient bit-flips only.**  Permanent/intermittent models keep
   acting after the next write; they are never pruned.
-* **Registers** (``internal:regs.Rn``, SCIFI or runtime-SWIFI): the
-  first traced access at or after the injection cycle is a *write*.
+* **Registers** (``internal:regs.Rn``, SCIFI or runtime-SWIFI), injected
+  before the end of the run: the first traced access at or after the
+  injection cycle is a *write*, or there is no access at or after it.
   Whole-register writes close any bit; the register-parity EDM checks
-  parity only on reads and re-syncs it on every write, so a dead-window
-  flip can neither be consumed nor detected.  Reads are traced before
-  writes at the same cycle, so a read-modify-write at the boundary
-  conservatively blocks pruning.  Elements never accessed again are NOT
-  pruned — the flip would survive into the final scan capture (latent).
+  parity only on reads and re-syncs it on every write, so a flip that is
+  overwritten or never read again can neither be consumed nor detected.
+  Reads are traced before writes at the same cycle, so a
+  read-modify-write at the boundary conservatively blocks pruning.  A
+  latent-tail flip is XOR-ed into the register's captured value when
+  the observation captures it; two flips of the same bit cancel.
 * **Memory** (pre-runtime SWIFI only): the address lies in a *data*
   region (the MPU fetches code from the program area only, so a data
   word is never fetched) and its first traced access is a write.
@@ -35,7 +47,7 @@ one of these holds:
   I/O the trace does not record.
 * **Whole-campaign guards**: normal logging mode only (detail mode logs
   per-instruction states that cannot be synthesised), and no declared
-  environment-boundary faults (those make even a "no-effect" experiment
+  environment-boundary faults (those make even an unaffected experiment
   differ from the clean reference).
 
 The safety net: ``--prune=RATE`` re-simulates a seeded random sample of
@@ -47,9 +59,11 @@ bit-identical equivalence bar used by the test suite and benchmark.
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..db import ExperimentRecord
 from .campaign import (
@@ -71,8 +85,8 @@ DEFAULT_SPOT_CHECK_RATE = 0.1
 
 class PruneDivergence(GoofiError):
     """A spot-checked pruned experiment did not match its synthesised
-    no-effect prediction — the classifier is wrong for this campaign and
-    the run must not be trusted."""
+    prediction — the classifier is wrong for this campaign and the run
+    must not be trusted."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +141,9 @@ def resolve_prune(value) -> PruneConfig | None:
 # ----------------------------------------------------------------------
 # Liveness primitives
 # ----------------------------------------------------------------------
+_CYCLE = itemgetter(0)
+
+
 def first_event_at_or_after(
     events: list[tuple[int, str]], cycle: int
 ) -> tuple[int, str] | None:
@@ -134,7 +151,7 @@ def first_event_at_or_after(
     ``cycle`` lands *before* the instruction of that cycle executes).
     ``events`` is chronological with reads preceding writes at the same
     cycle, so a read-modify-write boundary reports the read."""
-    index = bisect_left([c for c, _ in events], cycle)
+    index = bisect_left(events, cycle, key=_CYCLE)
     return events[index] if index < len(events) else None
 
 
@@ -214,9 +231,16 @@ def normalise_liveness_payload(payload: dict | None) -> dict | None:
 _REGISTER_PREFIX = "regs.R"
 
 
+def _register_of(element: str) -> int | None:
+    """Register index of a ``regs.Rn`` scan element, else ``None``."""
+    if not element.startswith(_REGISTER_PREFIX):
+        return None
+    return int(element.removeprefix(_REGISTER_PREFIX))
+
+
 @dataclass(slots=True)
 class ExperimentClassifier:
-    """Classifies planned experiments as prunable (no-effect by
+    """Classifies planned experiments as prunable (row known by
     construction) against one reference trace."""
 
     config: CampaignConfig
@@ -255,8 +279,10 @@ class ExperimentClassifier:
         return self._disabled_reason
 
     def prunable(self, spec: ExperimentSpec) -> bool:
-        """True when *every* fault of the experiment provably cannot
-        have an effect: the experiment's rows equal the reference's."""
+        """True when *every* fault of the experiment is provably either
+        overwritten unread or never read again: the experiment's row is
+        the reference's, with any latent-tail flips in its final scan
+        capture (:func:`synthesize_record`)."""
         if not self._enabled:
             return False
         return all(
@@ -276,21 +302,18 @@ class ExperimentClassifier:
         return False
 
     def _scan_fault_prunable(self, element: str, cycle: int) -> bool:
-        """Dead-window test for a transient register flip.  Control
-        state, caches and pins are always-live; never-accessed-again
-        registers stay unpruned (the flip would be latent in the final
-        scan capture)."""
-        if not element.startswith(_REGISTER_PREFIX):
+        """Dead-window or latent-tail test for a transient register
+        flip: the next access is a write, or there is none.  Control
+        state, caches and pins are always-live."""
+        register = _register_of(element)
+        if register is None:
             return False
         if not 0 <= cycle < self.trace.duration:
             # At or past the end of the run the ordering against HALT is
             # ambiguous; conservatively simulate.
             return False
-        events = self.trace.reg_events(
-            int(element.removeprefix(_REGISTER_PREFIX))
-        )
-        following = first_event_at_or_after(events, cycle)
-        return following is not None and following[1] == "write"
+        following = first_event_at_or_after(self.trace.reg_events(register), cycle)
+        return following is None or following[1] == "write"
 
     def _memory_fault_prunable(self, address: int) -> bool:
         """Written-before-read test for a pre-runtime image corruption.
@@ -315,17 +338,41 @@ def synthesize_record(
     trace: ReferenceTrace,
     reference: ExperimentRecord,
 ) -> ExperimentRecord:
-    """The row a full simulation of a no-effect experiment would log:
-    the reference run's termination and final state, with the fault list
-    in injection order exactly as the experiment bodies record it."""
+    """The row a full simulation of a prunable experiment would log: the
+    reference run's termination and final state, with the fault list in
+    injection order exactly as the experiment bodies record it.
+
+    A register flip with no access at or after its injection cycle
+    survives into the final capture: its bit is XOR-ed into the
+    register's captured value (key ``chain:element``, as the target's
+    capture names it) when the observation captures that register.  The
+    final state is otherwise the reference's own object — shared, not
+    copied."""
     schedule = [(fault.trigger.resolve(trace), fault) for fault in spec.faults]
     schedule.sort(key=lambda item: item[0])
     applied = []
+    flips: dict[str, int] = {}
     for cycle, fault in schedule:
         entry = fault.to_dict()
         entry["injection_cycle"] = cycle
         entry["applied"] = True
         applied.append(entry)
+        location = fault.location
+        register = (
+            _register_of(location.element) if location.kind == KIND_SCAN else None
+        )
+        if register is not None and (
+            first_event_at_or_after(trace.reg_events(register), cycle) is None
+        ):
+            key = f"{location.chain}:{location.element}"
+            flips[key] = flips.get(key, 0) ^ (1 << location.bit)
+    final = reference.state_vector["final"]
+    scan = final.get("scan", {})
+    flipped = {
+        key: scan[key] ^ mask for key, mask in flips.items() if mask and key in scan
+    }
+    if flipped:
+        final = {**final, "scan": {**scan, **flipped}}
     return ExperimentRecord(
         experiment_name=spec.name,
         campaign_name=config.name,
@@ -337,10 +384,49 @@ def synthesize_record(
         },
         state_vector={
             "termination": reference.state_vector["termination"],
-            "final": reference.state_vector["final"],
+            "final": final,
         },
         pruned=True,
     )
+
+
+class _StateEncoder:
+    """Encodes synthesised state vectors (``json.dumps(...,
+    sort_keys=True)``, as :meth:`ExperimentRecord.to_row` does) from the
+    reference's encoding: a row that shares the reference's final state
+    reuses its whole encoding, and a latent-tail row re-encodes only its
+    scan capture, spliced between the reference's other encoded
+    parts."""
+
+    def __init__(self, reference: ExperimentRecord) -> None:
+        termination = reference.state_vector["termination"]
+        self.final = final = reference.state_vector["final"]
+        self.shared = json.dumps(
+            {"termination": termination, "final": final}, sort_keys=True
+        )
+        # The same encoding split around final["scan"] (head + scan +
+        # tail), with json.dumps' default separators and sorted keys.
+        items = [
+            f"{json.dumps(key)}: {json.dumps(final[key], sort_keys=True)}"
+            for key in sorted(final)
+            if key != "scan"
+        ]
+        at = sum(1 for key in final if key < "scan")
+        self.head = (
+            '{"final": {' + "".join(f"{item}, " for item in items[:at]) + '"scan": '
+        )
+        self.tail = (
+            "".join(f", {item}" for item in items[at:])
+            + '}, "termination": '
+            + json.dumps(termination, sort_keys=True)
+            + "}"
+        )
+
+    def encode(self, state_vector: dict) -> str:
+        final = state_vector["final"]
+        if final is self.final:
+            return self.shared
+        return self.head + json.dumps(final["scan"], sort_keys=True) + self.tail
 
 
 @dataclass(slots=True)
@@ -351,15 +437,19 @@ class PrunePlan:
 
     config: PruneConfig
     planned: int
-    #: Specs classified no-effect (their rows are synthesised).
+    #: Specs whose rows are synthesised.
     pruned_specs: list[ExperimentSpec]
     #: Specs the engines actually simulate: every unprunable spec plus
     #: the spot-check sample, in original plan order.
     to_run: list[ExperimentSpec]
     #: Names of pruned specs that are re-simulated for verification.
     spot_checks: set[str]
-    #: Synthesised rows of every pruned spec, by experiment name.
-    synthesized: dict[str, ExperimentRecord]
+    #: Synthesised rows of every pruned spec, already encoded
+    #: (:meth:`ExperimentRecord.to_row`), by experiment name.
+    rows: dict[str, tuple]
+    #: Pruned specs whose synthesised final state differs from the
+    #: reference's (a latent-tail flip in a captured register).
+    latent: int = 0
     #: Why nothing was pruned, when the classifier was disabled.
     disabled_reason: str = ""
     divergences: int = 0
@@ -369,12 +459,13 @@ class PrunePlan:
         """Simulations actually avoided."""
         return len(self.pruned_specs) - len(self.spot_checks)
 
-    def upfront_records(self) -> list[ExperimentRecord]:
-        """Synthesised rows safe to persist before the loop runs: the
-        pruned specs *not* in the spot-check sample (a spot-checked row
-        is only persisted once its simulation confirmed it)."""
+    def upfront_records(self) -> list[tuple]:
+        """Encoded synthesised rows safe to persist before the loop runs
+        (:meth:`GoofiDatabase.save_experiment_rows`): the pruned specs
+        *not* in the spot-check sample (a spot-checked row is only
+        persisted once its simulation confirmed it)."""
         return [
-            self.synthesized[spec.name]
+            self.rows[spec.name]
             for spec in self.pruned_specs
             if spec.name not in self.spot_checks
         ]
@@ -388,7 +479,7 @@ class PrunePlan:
         Bit-identity is on the JSON payloads, ``experimentData`` and
         ``stateVector``; the provenance columns — timestamps, the
         ``pruned`` flag — are deliberately outside the comparison."""
-        expected = self.synthesized[name].to_row()
+        expected = self.rows[name]
         parts = [
             part
             for part, column in (
@@ -401,9 +492,9 @@ class PrunePlan:
             self.divergences += 1
             raise PruneDivergence(
                 f"spot-check of pruned experiment {name!r} diverged from its "
-                f"no-effect prediction ({' and '.join(parts)} differ); the "
-                f"liveness classifier is unsound for this campaign — rerun "
-                f"without --prune and report the campaign configuration"
+                f"prediction ({' and '.join(parts)} differ); the liveness "
+                f"classifier is unsound for this campaign — rerun without "
+                f"--prune and report the campaign configuration"
             )
         return expected
 
@@ -413,6 +504,7 @@ class PrunePlan:
         return {
             "planned": self.planned,
             "pruned": len(self.pruned_specs),
+            "latent": self.latent,
             "skipped": self.skipped,
             "spot_checks": len(self.spot_checks),
             "spot_check_rate": self.config.spot_check_rate,
@@ -435,17 +527,20 @@ def build_prune_plan(
     the campaign seed, so the same campaign prunes and verifies the same
     experiments on every host and worker count."""
     classifier = ExperimentClassifier(config, trace, space)
+    encoder = _StateEncoder(reference)
     rng = random.Random(f"{config.seed}/prune")
     pruned: list[ExperimentSpec] = []
     to_run: list[ExperimentSpec] = []
     spot_checks: set[str] = set()
-    synthesized: dict[str, ExperimentRecord] = {}
+    rows: dict[str, tuple] = {}
+    latent = 0
     for spec in specs:
         if classifier.prunable(spec):
             pruned.append(spec)
-            synthesized[spec.name] = synthesize_record(
-                config, spec, trace, reference
-            )
+            record = synthesize_record(config, spec, trace, reference)
+            state = record.state_vector
+            latent += state["final"] is not encoder.final
+            rows[spec.name] = record.to_row(state_json=encoder.encode(state))
             if rng.random() < prune_config.spot_check_rate:
                 spot_checks.add(spec.name)
                 to_run.append(spec)
@@ -457,6 +552,7 @@ def build_prune_plan(
         pruned_specs=pruned,
         to_run=to_run,
         spot_checks=spot_checks,
-        synthesized=synthesized,
+        rows=rows,
+        latent=latent,
         disabled_reason=classifier.disabled_reason,
     )

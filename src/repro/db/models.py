@@ -118,13 +118,18 @@ class ExperimentRecord:
         """The termination record (outcome, cycle, detection), or ``{}``."""
         return self.state_vector.get("termination", {})
 
-    def to_row(self) -> tuple:
+    def to_row(self, state_json: str | None = None) -> tuple:
+        """The encoded ``LoggedSystemState`` row.  ``state_json`` is the
+        state vector already encoded the same way, for callers that
+        encode one state vector shared by many rows once."""
+        if state_json is None:
+            state_json = json.dumps(self.state_vector, sort_keys=True)
         return (
             self.experiment_name,
             self.parent_experiment,
             self.campaign_name,
             json.dumps(self.experiment_data, sort_keys=True),
-            json.dumps(self.state_vector, sort_keys=True),
+            state_json,
             self.created_at,
             int(self.pruned),
         )

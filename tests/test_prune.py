@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from tests.conftest import make_campaign
 from repro import GoofiSession
 from repro.core import DEFAULT_SPOT_CHECK_RATE
+from repro.core.campaign import ExperimentSpec, PlannedFault
 from repro.core.errors import ConfigurationError
+from repro.core.faultmodels import IntermittentBitFlip, StuckAt, TransientBitFlip
 from repro.core.liveness import (
     ExperimentClassifier,
     PruneConfig,
@@ -28,7 +30,12 @@ from repro.core.liveness import (
     liveness_map,
     normalise_liveness_payload,
     resolve_prune,
+    synthesize_record,
 )
+from repro.core.locations import KIND_SCAN, Location
+from repro.core.triggers import ReferenceTrace, TimeTrigger
+from repro.db import ExperimentRecord
+from repro.targets.thor import ThorTargetInterface
 
 
 def logged_rows(session: GoofiSession, name: str) -> list[tuple]:
@@ -165,6 +172,235 @@ class TestClassifier:
         assert 0 < len(pruned) < len(plan)
 
 
+def register_flip(register: int, bit: int, cycle: int, model=None) -> PlannedFault:
+    return PlannedFault(
+        location=Location(
+            kind=KIND_SCAN, chain="internal", element=f"regs.R{register}", bit=bit
+        ),
+        trigger=TimeTrigger(cycle),
+        model=model or TransientBitFlip(),
+    )
+
+
+def spec_of(*faults: PlannedFault) -> ExperimentSpec:
+    return ExperimentSpec(name="c/exp00000", index=0, faults=faults, seed=0)
+
+
+class TestLatentTail:
+    """Flips the golden run never touches again: no register access at
+    or after the injection cycle.  They are prunable; their rows carry
+    the flip in the final scan capture."""
+
+    # R3: written at 10, read at 20, written at 30, then untouched.  R4:
+    # read-modify-written at 40.  R5 is never accessed.  50-cycle run.
+    TRACE_EVENTS = [
+        (10, "write", 3), (20, "read", 3), (30, "write", 3),
+        (40, "read", 4), (40, "write", 4),
+    ]
+    FINAL = {
+        "cycle": 50,
+        "iteration": 0,
+        "memory": {"4096": 17},
+        "outputs": [[12, 1, 5]],
+        "pc": 9,
+        "scan": {"internal:regs.R3": 0b1010, "internal:regs.R4": 7},
+    }
+    TERMINATION = {"outcome": "workload_end", "cycle": 50}
+
+    @pytest.fixture
+    def inputs(self, session):
+        config = make_campaign(session, "c")
+        trace = ReferenceTrace(reg_accesses=list(self.TRACE_EVENTS), duration=50)
+        reference = ExperimentRecord(
+            experiment_name="c/__reference__",
+            campaign_name="c",
+            experiment_data={},
+            state_vector={
+                "termination": dict(self.TERMINATION),
+                "final": json.loads(json.dumps(self.FINAL)),
+            },
+        )
+        return config, trace, session.target.location_space(), reference
+
+    def prunable(self, inputs, *faults) -> bool:
+        config, trace, space, _reference = inputs
+        return ExperimentClassifier(config, trace, space).prunable(spec_of(*faults))
+
+    def synthesise(self, inputs, *faults) -> ExperimentRecord:
+        config, trace, _space, reference = inputs
+        return synthesize_record(config, spec_of(*faults), trace, reference)
+
+    # -- classifier ------------------------------------------------------
+    def test_no_access_after_injection_is_prunable(self, inputs):
+        assert self.prunable(inputs, register_flip(3, 0, 31))
+        assert self.prunable(inputs, register_flip(3, 0, 49))
+        assert self.prunable(inputs, register_flip(4, 0, 41))
+        # Never accessed at all.
+        assert self.prunable(inputs, register_flip(5, 0, 0))
+
+    def test_read_next_is_not_prunable(self, inputs):
+        assert not self.prunable(inputs, register_flip(3, 0, 11))
+        assert not self.prunable(inputs, register_flip(3, 0, 20))
+
+    def test_read_modify_write_next_is_not_prunable(self, inputs):
+        assert not self.prunable(inputs, register_flip(4, 0, 31))
+        assert not self.prunable(inputs, register_flip(4, 0, 40))
+
+    def test_cycle_at_duration_is_not_prunable(self, inputs):
+        assert not self.prunable(inputs, register_flip(3, 0, 50))
+        assert not self.prunable(inputs, register_flip(5, 0, 50))
+
+    def test_permanent_and_intermittent_are_not_prunable(self, inputs):
+        for model in (StuckAt(value=1), IntermittentBitFlip(duration=5)):
+            assert not self.prunable(inputs, register_flip(3, 0, 45, model))
+            assert not self.prunable(inputs, register_flip(5, 0, 10, model))
+
+    # -- synthesis -------------------------------------------------------
+    def test_row_carries_the_flip(self, inputs):
+        record = self.synthesise(inputs, register_flip(3, 0, 45))
+        final = record.state_vector["final"]
+        assert final["scan"] == {
+            "internal:regs.R3": 0b1011, "internal:regs.R4": 7,
+        }
+        assert {k: v for k, v in final.items() if k != "scan"} == {
+            k: v for k, v in self.FINAL.items() if k != "scan"
+        }
+        assert record.state_vector["termination"] == self.TERMINATION
+        assert record.pruned
+        # The reference row itself is untouched.
+        reference = inputs[3]
+        assert reference.state_vector["final"] == self.FINAL
+
+    def test_unobserved_register_gives_reference_final(self, inputs):
+        reference = inputs[3]
+        record = self.synthesise(inputs, register_flip(5, 2, 45))
+        assert record.state_vector["final"] is reference.state_vector["final"]
+
+    def test_dead_window_flip_gives_reference_final(self, inputs):
+        reference = inputs[3]
+        record = self.synthesise(inputs, register_flip(3, 0, 25))
+        assert record.state_vector["final"] is reference.state_vector["final"]
+
+    def test_adjacent_burst_xors_both_bits(self, inputs):
+        record = self.synthesise(
+            inputs, register_flip(3, 1, 45), register_flip(3, 2, 45)
+        )
+        assert record.state_vector["final"]["scan"]["internal:regs.R3"] == 0b1100
+
+    def test_same_bit_twice_cancels(self, inputs):
+        reference = inputs[3]
+        record = self.synthesise(
+            inputs, register_flip(3, 0, 41), register_flip(3, 0, 45)
+        )
+        assert record.state_vector["final"] == reference.state_vector["final"]
+
+    def test_plan_rows_encode_like_to_row(self, inputs):
+        """The prune plan encodes each row from the reference's shared
+        encoding; the bytes equal a plain :meth:`ExperimentRecord.to_row`."""
+        config, trace, space, reference = inputs
+        specs = [
+            ExperimentSpec(f"c/exp{i:05d}", i, faults, seed=i)
+            for i, faults in enumerate([
+                (register_flip(3, 0, 45),),
+                (register_flip(3, 0, 25),),
+                (register_flip(5, 0, 45),),
+                (register_flip(3, 1, 45), register_flip(3, 2, 45)),
+                (register_flip(3, 0, 11),),
+            ])
+        ]
+        plan = build_prune_plan(
+            config, trace, space, specs, PruneConfig(0.0), reference
+        )
+        assert [spec.name for spec in plan.to_run] == ["c/exp00004"]
+        assert plan.latent == 2
+        assert plan.report()["latent"] == 2
+        for spec in specs[:4]:
+            row = plan.rows[spec.name]
+            expected = synthesize_record(config, spec, trace, reference).to_row()
+            # Everything but the createdAt timestamp.
+            assert row[:5] + row[6:] == expected[:5] + expected[6:]
+        assert plan.upfront_records() == [plan.rows[s.name] for s in specs[:4]]
+
+
+def control_campaign(session: GoofiSession, name: str = "ctl", seed: int = 2001,
+                     num_experiments: int = 60):
+    """The benchmark's thor-rd shape, small: ``control_protected`` with
+    the ``dc_motor`` plant, flips anywhere in the register file."""
+    from repro.workloads import load
+
+    program = load("control_protected")
+    return make_campaign(
+        session, name,
+        workload="control_protected",
+        num_experiments=num_experiments,
+        seed=seed,
+        termination=session.default_termination(
+            "control_protected", max_iterations=20
+        ),
+        observation=session.default_observation("control_protected"),
+        environment={
+            "name": "dc_motor",
+            "params": {
+                "sensor_addr": program.symbol("sensor"),
+                "actuator_addr": program.symbol("actuator"),
+            },
+        },
+    )
+
+
+def run_control(target=None, **run_kwargs):
+    with GoofiSession(target=target) as session:
+        control_campaign(session)
+        result = session.run_campaign("ctl", **run_kwargs)
+        return result, logged_rows(session, "ctl")
+
+
+class TestLatentTailCampaigns:
+    """Every engine configuration: at spot-check 1.0 every pruned row —
+    latent ones included — is re-simulated and must match; the logged
+    rows equal an unpruned run's."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        _result, rows = run_control()
+        return rows
+
+    @pytest.fixture(scope="class")
+    def parity_baseline(self):
+        _result, rows = run_control(ThorTargetInterface(register_parity=True))
+        return rows
+
+    def check(self, result, rows, baseline):
+        prune = result.prune
+        assert prune["divergences"] == 0
+        assert prune["spot_checks"] == prune["pruned"]
+        assert prune["latent"] > 0
+        assert rows == baseline
+
+    def test_serial_checkpoints(self, baseline):
+        self.check(*run_control(prune=1.0, checkpoints=True), baseline)
+
+    def test_parallel_checkpoints(self, baseline):
+        self.check(
+            *run_control(prune=1.0, checkpoints=True, workers=2), baseline
+        )
+
+    def test_reference_loop(self, baseline):
+        self.check(*run_control(prune=1.0, fast=False), baseline)
+
+    def test_register_parity(self, parity_baseline):
+        self.check(
+            *run_control(ThorTargetInterface(register_parity=True), prune=1.0),
+            parity_baseline,
+        )
+
+    def test_skipped_rows_equal_unpruned(self, baseline):
+        result, rows = run_control(prune=0.0, checkpoints=True)
+        assert result.prune["skipped"] == result.prune["pruned"]
+        assert result.prune["latent"] > 0
+        assert rows == baseline
+
+
 class TestRowEquivalence:
     """Pruned rows must be bit-identical to unpruned rows in every
     engine, at every spot-check rate."""
@@ -224,9 +460,10 @@ class TestRowEquivalence:
             assert len(flagged) == result.prune["pruned"]
 
     def test_pruned_rows_classify_non_effective(self):
-        """Pruned experiments stay visible to the analysis phase as
-        non-effective (overwritten) rows — they never vanish from
-        coverage or sample-size accounting."""
+        """Pruned experiments stay visible to the analysis phase — as
+        overwritten rows, or latent ones when a flip survives into the
+        final capture — and classify exactly as their simulated rows:
+        they never vanish from coverage or sample-size accounting."""
         with GoofiSession() as session:
             make_campaign(session, "c", num_experiments=24)
             session.run_campaign("c")
@@ -268,22 +505,24 @@ class TestSpotCheckSafetyNet:
         self, session, monkeypatch
     ):
         """With spot-check 1.0 nothing is persisted up-front, so a
-        divergence leaves only simulation-confirmed rows behind."""
+        divergence leaves only simulation-confirmed rows behind: every
+        persisted row equals the same experiment's row from an unpruned
+        run of the same campaign."""
+        _result, unpruned = run_campaign(num_experiments=20)
+        expected = {name: (state, data) for name, state, data in unpruned}
         monkeypatch.setattr(
             ExperimentClassifier, "prunable", lambda self, spec: True
         )
         make_campaign(session, "c", num_experiments=20)
         with pytest.raises(PruneDivergence):
             session.run_campaign("c", prune=1.0)
-        reference = session.db.load_experiment("c/__reference__")
-        for record in session.db.iter_experiments("c"):
-            if record.experiment_name == reference.experiment_name:
-                continue
-            # Every persisted pruned row passed its spot check, i.e.
-            # genuinely matches the reference state.
-            if record.pruned:
-                assert record.state_vector["final"] == \
-                    reference.state_vector["final"]
+        persisted = [
+            row for row in logged_rows(session, "c")
+            if row[0] != "c/__reference__"
+        ]
+        assert persisted, "no row confirmed before the divergence"
+        for name, state, data in persisted:
+            assert (state, data) == expected[name], name
 
     def test_spot_check_sample_is_deterministic(self, session):
         config = make_campaign(session, "c", num_experiments=30)

@@ -8,8 +8,10 @@ dump+restore cost.  Writes ``BENCH_hotloop.json`` next to the text table
 (machine-readable, via :func:`conftest.write_result`).
 
 Identity assertions run at any size: the fast-path campaign rows must be
-bit-identical to the reference-loop rows, and the fast path must
-actually have engaged (``execution_stats()["fast_segments"] > 0``).
+bit-identical to the reference-loop rows, the fast path must actually
+have engaged (``execution_stats()["fast_segments"] > 0``), and the
+thor-sm fused loop must leave the same ``save_state()`` as the
+reference loop on every stack workload.
 Timing assertions (>= 3x the recorded pre-fast-path baseline, chain
 dump+restore < 200 us) fire only in full mode; ``GOOFI_BENCH_QUICK=1``
 (the CI smoke step) shrinks the workload and keeps identity only.
@@ -61,6 +63,31 @@ def thor_rate(fast: bool) -> float:
     return cycles / seconds
 
 
+STACK_WORKLOADS = ("s_fib", "s_checksum", "s_sumvec")
+
+
+def stack_machine(workload: str, fast: bool) -> StackMachine:
+    machine = StackMachine()
+    machine.fast = fast
+    program = s_load(workload)
+    machine.load_image(0, program.program)
+    machine.load_image(program.data_base, program.data)
+    machine.reset(program.entry_point)
+    return machine
+
+
+def assert_stack_states_identical() -> None:
+    """Fast vs reference ``save_state()`` on every stack workload."""
+    for workload in STACK_WORKLOADS:
+        fast = stack_machine(workload, fast=True)
+        ref = stack_machine(workload, fast=False)
+        assert fast.run(2_000_000) == ref.run(2_000_000) == "halted", workload
+        assert fast.fast_segments == 1 and ref.fast_segments == 0, workload
+        assert fast.save_state() == ref.save_state(), (
+            f"thor-sm fused loop state differs from the reference on {workload}"
+        )
+
+
 def stack_rate(fast: bool) -> float:
     """Simulated instructions/second for the s_fib workload."""
     machine = StackMachine()
@@ -109,6 +136,7 @@ def _rows(db, campaign: str) -> dict:
 
 def test_hotloop_speedup(bench_session):
     session = bench_session
+    assert_stack_states_identical()
 
     # Raw core throughput, both engines.
     thor_fast = thor_rate(fast=True)
@@ -154,6 +182,7 @@ def test_hotloop_speedup(bench_session):
         "chain_bits": chain_bits,
         "fast_segments": stats["fast_segments"],
         "rows_identical": True,
+        "stack_states_identical": list(STACK_WORKLOADS),
     }
     lines = [
         "Hot-loop execution engine: fast path vs reference loop",
@@ -172,6 +201,8 @@ def test_hotloop_speedup(bench_session):
         f"({chain_bits} bits)",
         f"  fast segments (campaign)  : {stats['fast_segments']:>12,}",
         "  rows fast vs reference    : identical",
+        "  thor-sm states fast vs ref: identical "
+        f"({', '.join(STACK_WORKLOADS)})",
     ]
     write_result("BENCH_hotloop", "\n".join(lines), data=data)
 

@@ -56,9 +56,9 @@ from ..db import (
     GoofiDatabase,
     ProbeRecord,
     ResourceSampleRecord,
-    SpanRecord,
     TargetSystemRecord,
     reference_name,
+    utc_now,
 )
 from .campaign import (
     LOGGING_DETAIL,
@@ -153,30 +153,26 @@ class _DatabaseSink(EventSink):
 
     ``span`` records become ``ExperimentSpan`` rows, ``resource_sample``
     records ``ResourceSample`` rows, and the ``metrics`` record the
-    ``CampaignTelemetry`` snapshot.  ``write`` only queues; the
+    ``CampaignTelemetry`` snapshot.  Writes only queue; the
     coordinator's ingest writes the queue with its row batches
     (:meth:`flush`), so no database write runs inside ``EventBus.emit``.
+    A span row stores the text the bus encoded (``write_span``), and the
+    span rows of one flush share one ``createdAt``.
     """
 
     wants_line = False
 
     def __init__(self) -> None:
-        self.spans: list[SpanRecord] = []
+        self.spans: list[tuple[str, str, str]] = []
         self.samples: list[ResourceSampleRecord] = []
         self.snapshot: tuple[str, dict] | None = None
 
+    def write_span(self, record: dict, line: str | None, span_json: str) -> None:
+        self.spans.append((record["span"]["experiment"], record["campaign"], span_json))
+
     def write(self, record: dict, line: str | None) -> None:
         kind = record["kind"]
-        if kind == "span":
-            span = record["span"]
-            self.spans.append(
-                SpanRecord(
-                    experiment_name=span["experiment"],
-                    campaign_name=record["campaign"],
-                    span=span,
-                )
-            )
-        elif kind == "resource_sample":
+        if kind == "resource_sample":
             self.samples.append(
                 ResourceSampleRecord(
                     campaign_name=record["campaign"],
@@ -193,7 +189,8 @@ class _DatabaseSink(EventSink):
 
     def flush(self, db: GoofiDatabase) -> None:
         if self.spans:
-            db.save_spans(self.spans)
+            created_at = utc_now()
+            db.save_span_rows([(*span, created_at) for span in self.spans])
         if self.samples:
             db.save_resource_samples(self.samples)
         if self.snapshot is not None:
@@ -262,9 +259,8 @@ class _Ingest:
             # Lane annotation for the trace export.
             span.setdefault("worker", worker)
             # Phase-span events carry the telemetry record verbatim —
-            # the stream and the ExperimentSpan table speak the same
-            # dialect.
-            self.bus.emit("span", campaign=campaign, worker=span["worker"], span=span)
+            # the stream and the ExperimentSpan table store the same text.
+            self.bus.span(campaign, span)
         for probe in probes or ():
             self.probes.append(
                 ProbeRecord(

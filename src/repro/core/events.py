@@ -28,7 +28,8 @@ progress display are subscribers like any other sink (in-process ones
 that take the record dict and never ask for its JSON line).  Emission
 must never influence results: the campaign engines emit *after* an
 experiment's row is final, and sinks never feed anything back.  A bus
-whose sinks are all in-process encodes nothing.
+whose sinks are all in-process builds no line; a span's payload alone
+is always encoded, once, because the database stores that text.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import sys
 import time
 from pathlib import Path
 
+from ..db.models import encode_span
 from .errors import ConfigurationError
 
 logger = logging.getLogger(__name__)
@@ -72,7 +74,9 @@ _MAX_DATAGRAM = 60_000
 #: One shared compact encoder: the bus serialises each record exactly
 #: once (sinks receive the encoded line alongside the dict), and the
 #: envelope-first literal construction keeps the field order
-#: deterministic without paying for ``sort_keys`` per event.
+#: deterministic without paying for ``sort_keys`` per event.  A ``span``
+#: record's payload is the exception: it is encoded on its own, sorted,
+#: and spliced in (:meth:`EventBus.span`).
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -88,6 +92,13 @@ class EventSink:
 
     def write(self, record: dict, line: str) -> None:  # pragma: no cover
         raise NotImplementedError
+
+    def write_span(self, record: dict, line: str | None, span_json: str) -> None:
+        """Deliver one ``span`` record (:meth:`EventBus.span`) along with
+        ``span_json``, its span already encoded by
+        :func:`~repro.db.models.encode_span`.  A sink that keeps the
+        span's text overrides this; the rest take a plain :meth:`write`."""
+        self.write(record, line)
 
     def close(self) -> None:
         return None
@@ -174,21 +185,47 @@ class EventBus:
         self.sinks = list(sinks)
         self._seq = 0
 
-    def emit(self, kind: str, **fields) -> dict:
-        """Stamp the envelope and deliver one record to every sink."""
+    def _stamp(self, kind: str, fields: dict) -> dict:
         self._seq += 1
-        record = {
+        return {
             "v": EVENT_SCHEMA_VERSION,
             "seq": self._seq,
             "ts": round(time.time(), 6),
             "kind": kind,
             **fields,
         }
+
+    def emit(self, kind: str, **fields) -> dict:
+        """Stamp the envelope and deliver one record to every sink."""
+        record = self._stamp(kind, fields)
         line = None
         for sink in self.sinks:
             if line is None and sink.wants_line:
                 line = _encode(record)
             sink.write(record, line)
+        return record
+
+    def span(self, campaign: str, span: dict) -> dict:
+        """Deliver the ``span`` record of one telemetry span, which
+        carries ``span`` verbatim as its ``span`` field.
+
+        The span is encoded exactly once, by
+        :func:`~repro.db.models.encode_span` (compact, sorted keys).  A
+        line, when some sink wants one, is the envelope's encoding with
+        that text spliced in as the last field; every sink receives the
+        text through :meth:`EventSink.write_span`, so the database
+        stores the very text the stream carries.
+        """
+        span_json = encode_span(span)
+        record = self._stamp("span", {"campaign": campaign, "worker": span["worker"]})
+        line = None
+        for sink in self.sinks:
+            if sink.wants_line:
+                line = f'{_encode(record)[:-1]},"span":{span_json}}}'
+                break
+        record["span"] = span
+        for sink in self.sinks:
+            sink.write_span(record, line, span_json)
         return record
 
     def experiment_finished(

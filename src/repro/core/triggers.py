@@ -53,6 +53,7 @@ class ReferenceTrace:
     _call_cycles: list[int] | None = None
     _access_cycles: dict[tuple[str, int], list[int]] | None = None
     _reg_events: dict[int, list[tuple[int, str]]] | None = None
+    _mem_events: dict[int, list[tuple[int, str]]] | None = None
 
     def to_payload(self) -> dict:
         """Picklable event-list form for shipping to parallel workers
@@ -128,10 +129,12 @@ class ReferenceTrace:
     def mem_events(self, address: int) -> list[tuple[int, str]]:
         """Chronological ``(cycle, kind)`` access events of one memory
         word."""
-        events = [
-            (cycle, kind) for cycle, kind, addr in self.mem_accesses if addr == address
-        ]
-        return events
+        if self._mem_events is None:
+            index: dict[int, list[tuple[int, str]]] = {}
+            for cycle, kind, addr in self.mem_accesses:
+                index.setdefault(addr, []).append((cycle, kind))
+            self._mem_events = index
+        return self._mem_events.get(address, [])
 
 
 def _nth(cycles: list[int], occurrence: int, what: str) -> int:

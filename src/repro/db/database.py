@@ -392,9 +392,14 @@ class GoofiDatabase:
         return json.loads(row[0])
 
     def save_spans(self, records: list[SpanRecord]) -> None:
-        """Batch-upsert per-experiment span rows (one ``executemany``
-        per campaign flush, mirroring :meth:`save_experiments`)."""
-        if not records:
+        """Batch-upsert span records (see :meth:`save_span_rows`)."""
+        self.save_span_rows([record.to_row() for record in records])
+
+    def save_span_rows(self, rows: list[tuple]) -> None:
+        """Batch-upsert per-experiment span rows already in
+        :meth:`SpanRecord.to_row` form — one ``executemany`` per
+        campaign flush, mirroring :meth:`save_experiment_rows`."""
+        if not rows:
             return
         try:
             with self.transaction() as conn:
@@ -406,7 +411,7 @@ class GoofiDatabase:
                     "campaignName = excluded.campaignName, "
                     "spanJson = excluded.spanJson, "
                     "createdAt = excluded.createdAt",
-                    [record.to_row() for record in records],
+                    rows,
                 )
         except sqlite3.IntegrityError as exc:
             raise DatabaseError(f"batch span insert failed: {exc}") from exc

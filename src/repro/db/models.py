@@ -19,6 +19,12 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+#: The one text form of a telemetry span, compact with sorted keys: the
+#: ``ExperimentSpan.spanJson`` column and the ``span`` value of a
+#: ``span`` event line (:meth:`repro.core.events.EventBus.span`).
+encode_span = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 @dataclass(slots=True)
 class TargetSystemRecord:
     """One row of ``TargetSystemData``."""
@@ -265,7 +271,7 @@ class SpanRecord:
         return (
             self.experiment_name,
             self.campaign_name,
-            json.dumps(self.span, sort_keys=True),
+            encode_span(self.span),
             self.created_at,
         )
 

@@ -340,14 +340,40 @@ class StackMachine:
     def _run_fast(self, max_cycles: int, stop_at_cycle: int | None = None) -> str:
         """Fused run loop: :meth:`step` inlined, hot state in locals.
 
-        The two cycle bounds fold into one precomputed ``next_stop``
-        (tie resolves to ``cycle_break``: the reference loop checks
-        ``stop_at_cycle`` first).  ``memory`` and ``program_limit`` are
-        safe to hoist — stores mutate the memory list in place and
-        nothing changes the program limit mid-run.
+        Equivalence notes (mirroring ``_run_observed`` + ``step``):
+
+        * the two cycle bounds fold into one precomputed ``next_stop``
+          (a tie, or a stop cycle already passed at entry, resolves to
+          ``cycle_break``: the reference loop checks ``stop_at_cycle``
+          first);
+        * ``pc``, ``cycle``, ``dsp`` and ``rsp`` live in locals.
+          ``memory``, ``program_limit`` and the four stack lists are
+          safe to hoist: everything mutates them in place and nothing
+          changes the program limit mid-run;
+        * the opcodes that make up nearly all of the workloads' dynamic
+          instruction mix (LOAD, STORE, PUSHI, LOADI, ADD, SUB, XOR, LT,
+          BR, BZ, CALL, RET) run inline, keyed on the opcode byte of the
+          raw word.  Each inline path checks everything its handler
+          checks — stack bounds, pop parity, memory range, program area
+          — before it changes any state, so on any edge the state is
+          still that of the instruction's start;
+        * on an edge, or for any other opcode, the locals are written
+          back and the instruction runs through its ``_S_HANDLERS``
+          handler, exactly as in :meth:`step`.  Every detection is thus
+          raised by the reference code (same detail, same ``dsp``/
+          ``rsp`` after a failed pop, same ``cycle``/``pc`` recorded);
+        * a stack pointer outside its stack at entry (a scan-injected
+          ``ctrl.DSP``/``ctrl.RSP``) sends every instruction of the
+          segment to the handlers.  Neither path can move an in-range
+          pointer out of range, so one check per segment suffices.
         """
         self.fast_segments += 1
-        if stop_at_cycle is not None and stop_at_cycle <= max_cycles:
+        if self.halted:
+            return "detected" if self.detection else "halted"
+        # A stop cycle already passed at entry also wins over the budget.
+        if stop_at_cycle is not None and (
+            stop_at_cycle <= max_cycles or self.cycle >= stop_at_cycle
+        ):
             next_stop = stop_at_cycle
             stop_outcome = "cycle_break"
         else:
@@ -356,17 +382,136 @@ class StackMachine:
 
         memory = self.memory
         program_limit = self.program_limit
+        dstack = self.dstack
+        dparity = self.dparity
+        rstack = self.rstack
+        rparity = self.rparity
         decode_cache = S_DECODE_CACHE
         handlers = _S_HANDLERS
         bind = object.__setattr__
+        pc = self.pc
+        cycle = self.cycle
+        dsp = self.dsp
+        rsp = self.rsp
+        # Fetches below inline_limit may run inline (see the docstring).
+        if 0 <= dsp <= DATA_STACK_CELLS and 0 <= rsp <= RETURN_STACK_CELLS:
+            inline_limit = program_limit
+        else:
+            inline_limit = 0
 
         while True:
-            if self.halted:
-                return "detected" if self.detection else "halted"
-            cycle = self.cycle
             if cycle >= next_stop:
+                self.pc, self.cycle, self.dsp, self.rsp = pc, cycle, dsp, rsp
                 return stop_outcome
-            pc = self.pc
+            if 0 <= pc < inline_limit:
+                word = memory[pc]
+                op = word >> 24
+                if op < 0x20:
+                    if op == 0x12:  # LOAD: memory words are 32-bit already
+                        address = word & 0xFFFF
+                        if address < MEMORY_WORDS and dsp < DATA_STACK_CELLS:
+                            value = memory[address]
+                            dstack[dsp] = value
+                            dparity[dsp] = value.bit_count() & 1
+                            dsp += 1
+                            pc = (pc + 1) & 0xFFFF
+                            cycle += 1
+                            continue
+                    elif op == 0x10:  # PUSHI
+                        if dsp < DATA_STACK_CELLS:
+                            value = word & 0xFFFF
+                            dstack[dsp] = value
+                            dparity[dsp] = value.bit_count() & 1
+                            dsp += 1
+                            pc = (pc + 1) & 0xFFFF
+                            cycle += 1
+                            continue
+                    elif op == 0x13:  # STORE
+                        address = word & 0xFFFF
+                        if dsp and program_limit <= address < MEMORY_WORDS:
+                            value = dstack[dsp - 1]
+                            if value.bit_count() & 1 == dparity[dsp - 1]:
+                                memory[address] = value & WORD_MASK
+                                dsp -= 1
+                                pc = (pc + 1) & 0xFFFF
+                                cycle += 1
+                                continue
+                    elif op == 0x14:  # LOADI
+                        if dsp:
+                            top = dsp - 1
+                            value = dstack[top]
+                            address = value & 0xFFFF
+                            if (
+                                value.bit_count() & 1 == dparity[top]
+                                and address < MEMORY_WORDS
+                            ):
+                                value = memory[address]
+                                dstack[top] = value
+                                dparity[top] = value.bit_count() & 1
+                                pc = (pc + 1) & 0xFFFF
+                                cycle += 1
+                                continue
+                elif op < 0x30:
+                    if dsp >= 2:
+                        b = dstack[dsp - 1]
+                        a = dstack[dsp - 2]
+                        if (
+                            b.bit_count() & 1 == dparity[dsp - 1]
+                            and a.bit_count() & 1 == dparity[dsp - 2]
+                        ):
+                            if op == 0x20:  # ADD
+                                value = (a + b) & WORD_MASK
+                            elif op == 0x29:  # LT: x ^ _SIGN orders as signed
+                                value = (
+                                    1
+                                    if ((a & WORD_MASK) ^ _SIGN) < ((b & WORD_MASK) ^ _SIGN)
+                                    else 0
+                                )
+                            elif op == 0x26:  # XOR
+                                value = (a ^ b) & WORD_MASK
+                            elif op == 0x21:  # SUB
+                                value = (a - b) & WORD_MASK
+                            else:
+                                value = -1
+                            if value >= 0:
+                                dsp -= 1
+                                dstack[dsp - 1] = value
+                                dparity[dsp - 1] = value.bit_count() & 1
+                                pc = (pc + 1) & 0xFFFF
+                                cycle += 1
+                                continue
+                elif op == 0x31:  # BZ
+                    if dsp:
+                        value = dstack[dsp - 1]
+                        if value.bit_count() & 1 == dparity[dsp - 1]:
+                            dsp -= 1
+                            pc = word & 0xFFFF if value == 0 else (pc + 1) & 0xFFFF
+                            cycle += 1
+                            continue
+                elif op == 0x30:  # BR
+                    pc = word & 0xFFFF
+                    cycle += 1
+                    continue
+                elif op == 0x33:  # CALL
+                    if rsp < RETURN_STACK_CELLS:
+                        value = (pc + 1) & 0xFFFF
+                        rstack[rsp] = value
+                        rparity[rsp] = value.bit_count() & 1
+                        rsp += 1
+                        pc = word & 0xFFFF
+                        cycle += 1
+                        continue
+                elif op == 0x34:  # RET
+                    if rsp:
+                        value = rstack[rsp - 1]
+                        if value.bit_count() & 1 == rparity[rsp - 1]:
+                            rsp -= 1
+                            pc = value & 0xFFFF
+                            cycle += 1
+                            continue
+
+            # Edge or other opcode: the reference step, through the handler.
+            self.pc, self.cycle, self.dsp, self.rsp = pc, cycle, dsp, rsp
             if not 0 <= pc < program_limit:
                 self._raise_detection("mem_violation", f"fetch at 0x{pc:04X}")
                 return "detected"
@@ -387,9 +532,11 @@ class StackMachine:
             except _Detected as exc:
                 self._raise_detection(exc.mechanism, exc.detail)
                 return "detected"
-            self.cycle = cycle + 1
+            cycle += 1
+            self.cycle = cycle
             if outcome is not None:
                 return outcome
+            pc, dsp, rsp = self.pc, self.dsp, self.rsp
 
 
 # ----------------------------------------------------------------------
@@ -654,3 +801,8 @@ _S_HANDLERS: dict[SOp, Callable[[StackMachine, SInstruction], str | None]] = {
 }
 
 assert set(_S_HANDLERS) == set(SOp), "every opcode needs a handler"
+# StackMachine._run_fast keys its inline opcodes on these byte values.
+assert (
+    SOp.PUSHI, SOp.LOAD, SOp.STORE, SOp.LOADI, SOp.ADD, SOp.SUB,
+    SOp.XOR, SOp.LT, SOp.BR, SOp.BZ, SOp.CALL, SOp.RET,
+) == (0x10, 0x12, 0x13, 0x14, 0x20, 0x21, 0x26, 0x29, 0x30, 0x31, 0x33, 0x34)

@@ -393,7 +393,8 @@ class ThorCPU:
 
         * the two cycle bounds fold into one precomputed ``next_stop``;
           a tie resolves to CYCLE_BREAK because the reference loop
-          checks ``stop_at_cycle`` first;
+          checks ``stop_at_cycle`` first, and so does a stop cycle the
+          run has already passed when it starts;
         * the inlined fetch handles the two cases that cannot raise: a
           *dirty* cache hit (parity in sync by construction) counts a
           hit, and a tag miss whose PC lies in the program area counts a
@@ -407,7 +408,10 @@ class ThorCPU:
           the handler returns, never on a fetch/decode/execute fault.
         """
         self.fast_segments += 1
-        if stop_at_cycle is not None and stop_at_cycle <= max_cycles:
+        # A stop cycle already passed at entry also wins over the budget.
+        if stop_at_cycle is not None and (
+            stop_at_cycle <= max_cycles or self.cycle >= stop_at_cycle
+        ):
             next_stop = stop_at_cycle
             stop_reason = StopReason.CYCLE_BREAK
         else:

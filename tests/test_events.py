@@ -41,6 +41,20 @@ class RecordingSink(EventSink):
         self.closed = True
 
 
+class InProcessSink(RecordingSink):
+    """An in-process subscriber that also keeps each span's text."""
+
+    wants_line = False
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def write_span(self, record, line, span_json):
+        self.texts.append(span_json)
+        self.write(record, line)
+
+
 def rows_by_name(db, campaign: str) -> dict:
     return {
         record.experiment_name.split("/", 1)[1]: (
@@ -132,6 +146,42 @@ class TestEnvelope:
         bus.emit("campaign_finished", campaign="c")
         assert encoded == [2]
         assert json.loads(wire.lines[0])["seq"] == 2
+
+
+class TestSpanRecord:
+    """``EventBus.span``: the span is encoded once, the line splices that
+    text in, and every sink gets the same text."""
+
+    SPAN = {"worker": 1, "experiment": "c/e0", "phases": {"setup": 0.5}, "a": [1, 2]}
+
+    def test_line_splices_the_span_text(self):
+        wire, keeper = RecordingSink(), InProcessSink()
+        record = EventBus([keeper, wire]).span("c", dict(self.SPAN))
+        assert record["span"] == self.SPAN
+        assert keeper.records == wire.records == [record]
+        assert keeper.texts == [
+            json.dumps(self.SPAN, sort_keys=True, separators=(",", ":"))
+        ]
+        line = wire.lines[0]
+        assert json.loads(line) == record
+        assert line.endswith(',"span":' + keeper.texts[0] + "}")
+        assert list(json.loads(line)) == [
+            "v", "seq", "ts", "kind", "campaign", "worker", "span",
+        ]
+
+    def test_in_process_sinks_get_no_line(self, monkeypatch):
+        import repro.core.events as events
+
+        monkeypatch.setattr(
+            events, "_encode", lambda record: pytest.fail("line was built")
+        )
+        keeper = InProcessSink()
+        bus = EventBus([keeper])
+        bus.emit("campaign_started", campaign="c", total=1, workers=1)
+        bus.span("c", dict(self.SPAN))
+        assert keeper.lines == [None, None]
+        assert [r["seq"] for r in keeper.records] == [1, 2]
+        assert len(keeper.texts) == 1
 
 
 class TestResolveEvents:
@@ -313,6 +363,71 @@ class TestSerialStream:
         assert len(verdicts) == 1
         assert verdicts[0]["seq"] == records[-1]["seq"]  # same bus, same run
         assert verdicts[0]["passed"] == (code == 0)
+
+
+def span_text(line: str) -> str:
+    """The exact text of the ``span`` value in one JSONL line."""
+    start = line.index('"span":') + len('"span":')
+    _, end = json.JSONDecoder().raw_decode(line, start)
+    return line[start:end]
+
+
+class TestSpansEncodedOnce:
+    """A telemetered run encodes each span once: the ``spanJson`` column
+    holds the very text of the span's JSONL line, compact with sorted
+    keys, and the span rows of one flush share one ``createdAt``."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_span_json_is_the_line_text(self, session, tmp_path, workers):
+        path = tmp_path / "run.jsonl"
+        subscriber = InProcessSink()
+        make_campaign(session, "c", num_experiments=6, seed=35)
+        session.run_campaign(
+            "c", workers=workers, telemetry="spans",
+            events=[JsonlEventSink(path), subscriber],
+        )
+        lines = {}
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if json.loads(line)["kind"] == "span":
+                text = span_text(line)
+                lines[json.loads(text)["experiment"]] = text
+        spans = {
+            record["span"]["experiment"]: record["span"]
+            for record in subscriber.records
+            if record["kind"] == "span"
+        }
+        stored = session.db.execute_sql(
+            "SELECT experimentName, spanJson, createdAt FROM ExperimentSpan "
+            "WHERE campaignName = ?", ("c",),
+        )
+        assert len(stored) == len(lines) == len(spans) == 6
+        for name, span_json, _ in stored:
+            assert span_json == lines[name]
+            assert json.loads(span_json) == spans[name]
+            assert span_json == json.dumps(
+                spans[name], sort_keys=True, separators=(",", ":")
+            )
+        assert sorted(subscriber.texts) == sorted(text for _, text, _ in stored)
+        assert len({created for _, _, created in stored}) == 1
+
+    @pytest.mark.parametrize("wire", [False, True])
+    def test_each_span_encoded_once(self, session, tmp_path, monkeypatch, wire):
+        import repro.core.events as events
+
+        encoded = []
+        monkeypatch.setattr(
+            events, "encode_span",
+            lambda span: encoded.append(span["experiment"]) or json.dumps(span),
+        )
+        make_campaign(session, "c", num_experiments=5, seed=36)
+        session.run_campaign(
+            "c", telemetry="spans",
+            events=str(tmp_path / "run.jsonl") if wire else None,
+        )
+        assert sorted(encoded) == sorted(
+            record.experiment_name for record in session.db.iter_spans("c")
+        )
+        assert len(encoded) == 5
 
 
 class TestRowEquivalence:

@@ -20,6 +20,8 @@ equivalence down where the two loops are easiest to drive apart:
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,8 @@ from hypothesis import strategies as st
 from tests.conftest import make_campaign
 from repro import CampaignConfig, GoofiSession, ObservationSpec, Termination
 from repro.targets.stack import StackMachine, s_load
+from repro.targets.stack.isa import DATA_STACK_CELLS, RETURN_STACK_CELLS, SOp
+from repro.targets.stack.machine import DATA_BASE, MEMORY_WORDS
 from repro.targets.thor.assembler import assemble
 from repro.targets.thor.cpu import StopReason, ThorCPU
 from repro.targets.thor.edm import Mechanism
@@ -64,6 +68,143 @@ def fresh_machine(workload: str = "s_fib", fast: bool = True) -> StackMachine:
     machine.load_image(program.data_base, program.data)
     machine.reset(program.entry_point)
     return machine
+
+
+def stack_word(op: SOp, operand: int = 0) -> int:
+    return (int(op) << 24) | operand
+
+
+def stack_setup(
+    words,
+    *,
+    fast: bool,
+    data=(),
+    dcells=(),
+    dbad=(),
+    rcells=(),
+    rbad=(),
+    pointers=None,
+) -> StackMachine:
+    """A THOR-SM with ``words`` at address 0, ``data`` at the data
+    base, the stacks filled bottom-up from ``dcells``/``rcells`` with
+    correct parity except at the cells in ``dbad``/``rbad``, and
+    ``pointers`` = ``(dsp, rsp)`` overriding the stack depths."""
+    machine = StackMachine()
+    machine.fast = fast
+    machine.load_image(0, words)
+    machine.load_image(DATA_BASE, data)
+    machine.reset(0)
+    for stack, parity, cells, bad in (
+        (machine.dstack, machine.dparity, dcells, dbad),
+        (machine.rstack, machine.rparity, rcells, rbad),
+    ):
+        for index, value in enumerate(cells):
+            stack[index] = value
+            parity[index] = value.bit_count() & 1
+        for index in bad:
+            parity[index] ^= 1
+    machine.dsp, machine.rsp = pointers or (len(dcells), len(rcells))
+    return machine
+
+
+def stack_run_both(words, runs=((10_000, None),), **setup) -> StackMachine:
+    """Run the same set-up through the fused loop and the reference
+    loop, one ``run(max_cycles, stop_at_cycle)`` call per entry of
+    ``runs``, and assert that both give the same outcomes (or raise the
+    same exception type), the same ``save_state()`` and the same
+    ``detection``.  Returns the fast machine."""
+    seen = []
+    for fast in (True, False):
+        machine = stack_setup(words, fast=fast, **setup)
+        outcomes = []
+        for max_cycles, stop_at_cycle in runs:
+            try:
+                outcomes.append(machine.run(max_cycles, stop_at_cycle))
+            except Exception as exc:  # noqa: BLE001 - compared, not hidden
+                outcomes.append(type(exc))
+                break
+        seen.append((machine, outcomes, machine.save_state(), machine.detection))
+    (fast_machine, *fast_result), (ref_machine, *ref_result) = seen
+    assert fast_result == ref_result
+    assert fast_machine.fast_segments == len(fast_result[0])
+    assert ref_machine.fast_segments == 0
+    return fast_machine
+
+
+#: Data-stack cells each popping opcode takes, in pop order.
+DATA_POPS = {
+    SOp.PUSHIH: 1, SOp.STORE: 1, SOp.LOADI: 1, SOp.STOREI: 2,
+    SOp.DUP: 1, SOp.DROP: 1, SOp.SWAP: 2, SOp.OVER: 2,
+    SOp.ADD: 2, SOp.SUB: 2, SOp.MUL: 2, SOp.DIV: 2, SOp.AND: 2,
+    SOp.OR: 2, SOp.XOR: 2, SOp.NOT: 1, SOp.NEG: 1, SOp.LT: 2,
+    SOp.EQ: 2, SOp.BZ: 1, SOp.BNZ: 1, SOp.OUT: 1,
+}
+HALT = stack_word(SOp.HALT)
+
+#: The opcodes the fused loop runs inline.
+INLINE_OPS = [
+    SOp.LOAD, SOp.STORE, SOp.PUSHI, SOp.LOADI, SOp.ADD, SOp.SUB,
+    SOp.XOR, SOp.LT, SOp.BR, SOp.BZ, SOp.CALL, SOp.RET,
+]
+#: Every opcode byte, the inline ones three times as likely, plus three
+#: undefined ones.
+OPCODE_BYTES = [int(op) for op in list(SOp) + INLINE_OPS * 2] + [0x03, 0x2F, 0xFF]
+#: Where drawn operands and cell values lie: small (branch targets,
+#: program area), data words, anywhere in data memory, past memory, and
+#: any 32-bit word.
+_VALUE_RANGES = (
+    (0, 13),
+    (DATA_BASE, DATA_BASE + 8),
+    (DATA_BASE, MEMORY_WORDS),
+    (MEMORY_WORDS - 2, 0x10000),
+    (0, 0x100000000),
+)
+_BOUND = st.integers(0, 48)
+
+
+@st.composite
+def stack_cases(draw):
+    """A short program over every opcode with operands in and out of
+    range, the initial stacks with corrupted parity cells (each of the
+    top three of a stack with odds 1 in 3), and one or two run calls
+    with drawn bounds.  Now and then a stack pointer lies past its
+    stack, as a scan-injected ``ctrl.DSP``/``ctrl.RSP`` can.
+
+    Sizes and bounds are drawn; words and cell contents come from one
+    drawn seed, since drawing each of them costs far more than the runs
+    and the property needs many examples to meet each edge."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def value() -> int:
+        low, high = rng.choice(_VALUE_RANGES)
+        return rng.randrange(low, high)
+
+    def stack(cells: int) -> tuple[list[int], set[int]]:
+        values = [value() for _ in range(cells)]
+        bad = {cells - 1 - down for down in range(min(3, cells)) if rng.random() < 1 / 3}
+        return values, bad
+
+    words = [
+        (rng.choice(OPCODE_BYTES) << 24) | (value() & 0xFFFF)
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    dcells, dbad = stack(draw(st.integers(0, DATA_STACK_CELLS)))
+    rcells, rbad = stack(draw(st.integers(0, RETURN_STACK_CELLS)))
+    pointers = None
+    if draw(st.integers(0, 7)) == 0:
+        pointers = (draw(st.integers(0, 31)), draw(st.integers(0, 15)))
+    return dict(
+        words=words,
+        data=[value() for _ in range(8)],
+        dcells=dcells,
+        dbad=dbad,
+        rcells=rcells,
+        rbad=rbad,
+        pointers=pointers,
+        runs=draw(
+            st.lists(st.tuples(_BOUND, st.none() | _BOUND), min_size=1, max_size=2)
+        ),
+    )
 
 
 def rows_by_name(db, campaign: str) -> dict:
@@ -172,6 +313,15 @@ class TestThorEquivalence:
         ref = fresh_cpu("spin: BR spin", fast=False)
         assert fast.run(5, stop_at_cycle=5) is StopReason.CYCLE_BREAK
         assert ref.run(5, stop_at_cycle=5) is StopReason.CYCLE_BREAK
+        assert fast.save_state() == ref.save_state()
+
+    def test_stop_cycle_passed_at_entry_is_cycle_break(self):
+        """Both bounds already passed when the run starts: the
+        reference loop checks ``stop_at_cycle`` first, even when it lies
+        beyond the budget."""
+        fast, ref = self.run_both(LOOP_SOURCE, max_cycles=5)
+        for cpu in (fast, ref):
+            assert cpu.run(3, stop_at_cycle=4) is StopReason.CYCLE_BREAK
         assert fast.save_state() == ref.save_state()
 
     def test_stop_at_cycle_beyond_budget_is_cycle_limit(self):
@@ -390,6 +540,101 @@ class TestStackEquivalence:
         assert machine.fast_segments == 1
         assert seen == list(range(11, machine.cycle + 1))
         assert machine.save_state() == plain.save_state()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=stack_cases())
+    def test_any_program_matches_reference(self, case):
+        stack_run_both(**case)
+
+    @pytest.mark.parametrize(
+        "word", [stack_word(SOp.PUSHI, 7), stack_word(SOp.LOAD, DATA_BASE),
+                 stack_word(SOp.IN, 0), stack_word(SOp.DUP),
+                 stack_word(SOp.OVER)],
+    )
+    def test_data_stack_overflow_at_16_cells(self, word):
+        machine = stack_run_both([word, HALT], dcells=[3] * DATA_STACK_CELLS)
+        assert machine.detection["detail"] == "data stack overflow"
+
+    def test_return_stack_overflow(self):
+        machine = stack_run_both(
+            [stack_word(SOp.CALL, 0)], rcells=[1] * RETURN_STACK_CELLS
+        )
+        assert machine.detection["detail"] == "return stack overflow"
+
+    @pytest.mark.parametrize("op", sorted(DATA_POPS))
+    def test_underflow_under_every_popping_opcode(self, op):
+        for depth in range(DATA_POPS[op]):
+            machine = stack_run_both(
+                [stack_word(op, DATA_BASE), HALT], dcells=[DATA_BASE] * depth
+            )
+            assert machine.detection["detail"] == "data stack underflow"
+            assert machine.dsp == 0
+
+    def test_return_stack_underflow(self):
+        machine = stack_run_both([stack_word(SOp.RET), HALT])
+        assert machine.detection["detail"] == "return stack underflow"
+
+    @pytest.mark.parametrize("op", sorted(DATA_POPS))
+    def test_parity_mismatch_under_every_popping_opcode(self, op):
+        pops = DATA_POPS[op]
+        for bad in range(pops):
+            machine = stack_run_both(
+                [stack_word(op, DATA_BASE), HALT],
+                dcells=[DATA_BASE] * (pops + 1),
+                dbad={bad + 1},
+            )
+            assert machine.detection["mechanism"] == "dstack_parity"
+            assert machine.dsp == bad + 1
+
+    def test_parity_mismatch_on_return_stack(self):
+        machine = stack_run_both(
+            [stack_word(SOp.RET), HALT], rcells=[5, 1], rbad={1}
+        )
+        assert machine.detection["mechanism"] == "rstack_parity"
+        assert machine.rsp == 1
+
+    @pytest.mark.parametrize(
+        "words, dcells",
+        [
+            ([stack_word(SOp.LOAD, MEMORY_WORDS)], []),
+            ([stack_word(SOp.LOAD, 0xFFFF)], []),
+            ([stack_word(SOp.LOADI)], [MEMORY_WORDS]),
+            ([stack_word(SOp.LOADI)], [0x1234FFFF]),
+        ],
+    )
+    def test_load_past_memory(self, words, dcells):
+        machine = stack_run_both(words + [HALT], dcells=dcells)
+        assert machine.detection["detail"].startswith("read at 0x")
+
+    @pytest.mark.parametrize("address", [0, 5, DATA_BASE - 1, MEMORY_WORDS, 0xFFFF])
+    def test_store_into_program_area_or_past_memory(self, address):
+        for words, dcells in (
+            ([stack_word(SOp.STORE, address)], [9]),
+            ([stack_word(SOp.STOREI)], [9, address]),
+        ):
+            machine = stack_run_both(words + [HALT], dcells=dcells)
+            assert machine.detection["mechanism"] == "mem_violation"
+            assert machine.dsp == 0
+            assert machine.memory[address % MEMORY_WORDS] != 9
+
+    @pytest.mark.parametrize("target", [DATA_BASE, MEMORY_WORDS, 0xFFFF])
+    def test_fetch_outside_program_area(self, target):
+        for words, rcells in (
+            ([stack_word(SOp.BR, target)], []),
+            ([stack_word(SOp.PUSHI, 0), stack_word(SOp.BZ, target)], []),
+            ([stack_word(SOp.CALL, target)], []),
+            ([stack_word(SOp.RET)], [target]),
+        ):
+            machine = stack_run_both(words, rcells=rcells)
+            assert machine.detection["detail"] == f"fetch at 0x{target:04X}"
+            assert machine.pc == target
+
+    def test_stack_pointer_past_its_stack(self):
+        """A scan-injected pointer past the stack takes the handlers,
+        which fail the same way the reference loop fails."""
+        stack_run_both([stack_word(SOp.ADD), HALT], pointers=(20, 0))
+        stack_run_both([stack_word(SOp.RET), HALT], pointers=(0, 12))
+        stack_run_both([stack_word(SOp.PUSHI, 1), HALT], pointers=(17, 0))
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,8 @@ from ..core import (
     registered_techniques,
 )
 from ..core.errors import GoofiError
-from ..db import DatabaseError
+from ..db import DatabaseError, GoofiDatabase
+from ..targets.thor.interface import TARGET_NAME
 
 
 def _add_db_argument(parser: argparse.ArgumentParser) -> None:
@@ -56,8 +57,24 @@ def _add_db_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _session(args: argparse.Namespace) -> GoofiSession:
-    return GoofiSession(args.db)
+def _session(args: argparse.Namespace, target: str | None = None) -> GoofiSession:
+    """A session on ``target`` (default: the default target)."""
+    return GoofiSession(args.db, target_name=target or TARGET_NAME)
+
+
+def _campaign_session(args: argparse.Namespace, campaign: str | None) -> GoofiSession:
+    """A session on the target the stored ``campaign`` was made for, so
+    that it runs and is analysed where it was set up.  Without such a
+    campaign (none named, or not in the database) the session opens on
+    the default target and the command reports what is missing."""
+    target = None
+    if campaign:
+        with GoofiDatabase(args.db) as db:
+            try:
+                target = db.load_campaign(campaign).target_name
+            except DatabaseError:
+                pass
+    return _session(args, target)
 
 
 def _campaign_bus(args: argparse.Namespace):
@@ -83,7 +100,7 @@ def cmd_target_list(args: argparse.Namespace) -> int:
 
 
 def cmd_target_describe(args: argparse.Namespace) -> int:
-    with _session(args) as session:
+    with _session(args, args.target) as session:
         record = session.db.load_target(args.target)
         if args.json:
             print(json.dumps(record.config, indent=2))
@@ -120,7 +137,7 @@ def _parse_fault_model(args: argparse.Namespace):
 
 
 def cmd_campaign_create(args: argparse.Namespace) -> int:
-    with _session(args) as session:
+    with _session(args, args.target) as session:
         termination = (
             Termination(max_cycles=args.max_cycles, max_iterations=args.max_iterations)
             if args.max_cycles
@@ -181,7 +198,7 @@ def cmd_campaign_list(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign_show(args: argparse.Namespace) -> int:
-    with _session(args) as session:
+    with _campaign_session(args, args.name) as session:
         record = session.db.load_campaign(args.name)
         print(json.dumps(record.config, indent=2))
     return 0
@@ -340,7 +357,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    with _session(args) as session:
+    with _campaign_session(args, args.campaign) as session:
         campaign_name = args.campaign
         if args.pack:
             _pack, config = _setup_pack_campaign(session, args)
@@ -417,7 +434,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    with _session(args) as session:
+    with _campaign_session(args, args.campaign) as session:
         if args.profile:
             from ..core import format_profile_report
 
@@ -460,7 +477,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from ..analysis import write_campaign_report, write_index
 
-    with _session(args) as session:
+    with _campaign_session(args, args.campaign) as session:
         if args.campaign is None:
             path = write_index(session.db, args.out)
             count = len(session.db.list_campaigns())
@@ -475,7 +492,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    with _session(args) as session:
+    with _campaign_session(args, args.campaign) as session:
         if args.sql:
             sql = generate_analysis_sql(args.campaign)
             for rows in run_generated_sql(session.db, sql):
@@ -523,7 +540,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from ..analysis import export_csv, export_csv_file
 
-    with _session(args) as session:
+    with _campaign_session(args, args.campaign) as session:
         if args.out:
             count = export_csv_file(session.db, args.campaign, args.out)
             print(f"wrote {count} experiment rows to {args.out}")
@@ -551,7 +568,7 @@ def cmd_campaign_plan(args: argparse.Namespace) -> int:
     plan without injecting anything."""
     from ..core.campaign import PlanGenerator
 
-    with _session(args) as session:
+    with _campaign_session(args, args.name) as session:
         config = session.algorithms.read_campaign_data(args.name)
         trace = session.algorithms.make_reference_run(config)
         plan = PlanGenerator(
@@ -572,7 +589,7 @@ def cmd_campaign_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_rerun(args: argparse.Namespace) -> int:
-    with _session(args) as session:
+    with _campaign_session(args, args.experiment.split("/")[0]) as session:
         record = session.algorithms.rerun_experiment_detailed(args.experiment)
         steps = len(record.state_vector.get("steps", []))
         print(
@@ -586,7 +603,7 @@ def cmd_rerun(args: argparse.Namespace) -> int:
 def cmd_trace_export(args: argparse.Namespace) -> int:
     from ..analysis import build_trace, validate_trace, write_trace
 
-    with _session(args) as session:
+    with _campaign_session(args, args.campaign) as session:
         if args.out:
             trace = write_trace(session.db, args.campaign, args.out)
             print(

@@ -139,6 +139,11 @@ class CampaignConfig:
             )
         if not self.location_patterns:
             raise ConfigurationError("a campaign needs at least one location pattern")
+        if not isinstance(self.fault_model, FaultModel):
+            raise ConfigurationError(
+                f"fault_model must be a FaultModel, not {type(self.fault_model).__name__} "
+                f"{self.fault_model!r}"
+            )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

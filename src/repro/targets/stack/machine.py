@@ -185,8 +185,10 @@ class StackMachine:
         self.dsp += 1
 
     def _dpop(self) -> int:
-        if self.dsp <= 0:
-            raise _Detected("stack_bounds", "data stack underflow")
+        if not 0 < self.dsp <= DATA_STACK_CELLS:
+            # A scan-injected ctrl.DSP can also point past the stack.
+            detail = "underflow" if self.dsp <= 0 else "pointer out of range"
+            raise _Detected("stack_bounds", f"data stack {detail}")
         self.dsp -= 1
         value = self.dstack[self.dsp]
         if _parity(value) != self.dparity[self.dsp]:
@@ -204,8 +206,10 @@ class StackMachine:
         self.rsp += 1
 
     def _rpop(self) -> int:
-        if self.rsp <= 0:
-            raise _Detected("stack_bounds", "return stack underflow")
+        if not 0 < self.rsp <= RETURN_STACK_CELLS:
+            # A scan-injected ctrl.RSP can also point past the stack.
+            detail = "underflow" if self.rsp <= 0 else "pointer out of range"
+            raise _Detected("stack_bounds", f"return stack {detail}")
         self.rsp -= 1
         value = self.rstack[self.rsp]
         if _parity(value) != self.rparity[self.rsp]:

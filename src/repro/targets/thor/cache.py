@@ -171,11 +171,6 @@ class Cache:
         self.parity_errors = 0
 
     # ------------------------------------------------------------------
-    def _split(self, address: int) -> tuple[int, int]:
-        index = address & self._index_mask
-        tag = (address >> self._index_bits) & ((1 << ADDR_BITS) - 1)
-        return index, tag
-
     def read(self, address: int) -> int:
         """Read a word through the cache, checking parity on a hit.
 
@@ -223,9 +218,8 @@ class Cache:
         simulator, SWIFI injector) has just rewritten — the coherence a
         real DMA-capable test card provides.
         """
-        index, tag = self._split(address)
-        line = self.lines[index]
-        if line._valid and line._tag == tag:
+        line = self.lines[address & self._index_mask]
+        if line._valid and line._tag == (address >> self._index_bits) & 0xFFFF:
             line._valid = 0
             line._dirty = True  # parity follows the payload again
 

@@ -33,11 +33,12 @@ run loops over those handlers:
   order.  This is the semantics contract.
 * ``_run_fast`` — a fused loop used when no observers are attached
   (no trace/memory hooks, no post-step overlays, register parity off).
-  It hoists hot attributes into locals, folds ``stop_at_cycle`` and
-  ``max_cycles`` into one precomputed bound, and inlines the
-  instruction-cache hit and miss-fill paths.  Its observable behaviour
-  (architectural state, counters, stop reasons, detections) is
-  bit-identical to the reference loop — enforced by
+  It keeps the PC, cycle, flags and latches in locals, folds
+  ``stop_at_cycle`` and ``max_cycles`` into one precomputed bound, and
+  runs the common opcodes and their cache accesses inline, keyed on the
+  opcode byte; anything else runs through the handlers.  Its
+  observable behaviour (architectural state, counters, stop reasons,
+  detections) is bit-identical to the reference loop — enforced by
   ``tests/test_hotloop.py``.
 
 ``cpu.fast = False`` forces the reference loop for every run.
@@ -52,7 +53,6 @@ from typing import Callable
 from .cache import Cache, CacheParityError, parity_bit
 from .edm import DetectionEvent, Mechanism
 from .isa import (
-    BRANCH_OPS,
     DECODER,
     NUM_REGISTERS,
     REG_SP,
@@ -65,6 +65,10 @@ from .isa import (
 from .memory import MEMORY_WORDS, Memory, MemoryMap, MemoryViolation
 
 _SIGN_BIT = 0x80000000
+
+#: Why ``ThorCPU._run_fast`` left its inline loop, besides a stop reason.
+_FETCH_FAULT = object()  # the fetch must go through Cache.read, which raises
+_HANDLER = object()  # the instruction runs through its _HANDLERS entry
 
 
 def to_signed(value: int) -> int:
@@ -395,19 +399,37 @@ class ThorCPU:
           a tie resolves to CYCLE_BREAK because the reference loop
           checks ``stop_at_cycle`` first, and so does a stop cycle the
           run has already passed when it starts;
-        * the inlined fetch handles the two cases that cannot raise: a
-          *dirty* cache hit (parity in sync by construction) counts a
-          hit, and a tag miss whose PC lies in the program area counts a
-          miss and fills the line from memory, exactly as ``Cache.read``
-          does with ``Memory.fetch`` behind it.  The other two cases
-          take ``Cache.read`` for exact counter and detection
-          behaviour: a hit on a line whose parity was materialised (the
-          parity check) and a fetch outside the program area (counted
-          as a miss, then ``MemoryViolation``);
-        * ``cycle`` is incremented exactly where ``step`` does: after
-          the handler returns, never on a fetch/decode/execute fault.
+        * ``pc``, ``cycle``, the four flags, ``ir``/``mar``/``mdr`` and
+          the two caches' hit counters live in locals.  They are written
+          back only where the inner loop breaks: at a stop, at a fetch
+          fault, and before an instruction runs through its handler;
+        * the fetch serves a dirty icache hit, a clean hit whose parity
+          check passes (which marks the line dirty, as ``Cache.read``
+          does) and a miss inside the program area (filled from memory).
+          A parity mismatch and a fetch outside the program area go to
+          ``Cache.read``, which counts and raises;
+        * the opcodes that make up at least 95% of the dynamic mix of
+          every thor-rd workload run inline, keyed on the opcode byte
+          ``word >> 24`` with the operands taken from the word's bit
+          fields.  Their data reads serve every dcache case but a
+          parity mismatch, the same three ways as the fetch.  Each
+          inline path checks everything its handler checks (the MPU
+          program-area write check, the ``trap_on_overflow`` EDM of
+          ADD/SUB/MUL, the stack bounds of CALL/RET, the parity of a
+          clean dcache hit) before it changes any state;
+        * on any such edge, and for every other opcode, the locals are
+          written back and the instruction runs through its
+          ``_HANDLERS`` handler, exactly as in :meth:`step`, so every
+          detection is raised by the reference code.  Handlers that end
+          a run (HALT, ITER, TRAP, an EDM) return a stop reason, so
+          ``halted`` is only read at entry;
+        * register values are 32-bit words and the PC a 16-bit address:
+          every writer (handlers, scan cells, restore) keeps them so,
+          which the inline paths rely on instead of re-masking.
         """
         self.fast_segments += 1
+        if self.halted:
+            return StopReason.DETECTED if self.detection else StopReason.HALTED
         # A stop cycle already passed at entry also wins over the budget.
         if stop_at_cycle is not None and (
             stop_at_cycle <= max_cycles or self.cycle >= stop_at_cycle
@@ -418,75 +440,330 @@ class ThorCPU:
             next_stop = max_cycles
             stop_reason = StopReason.CYCLE_LIMIT
 
+        regs = self.regs
         icache = self.icache
         ilines = icache.lines
         imask = icache._index_mask
         ibits = icache._index_bits
-        icache_read = icache.read
+        dcache = self.dcache
+        dlines = dcache.lines
+        dmask = dcache._index_mask
+        dbits = dcache._index_bits
         memory = self.memory
         words = memory._words
+        memory_map = memory.map
         # The fetch window Memory.fetch allows: in range and in the
         # program area.
-        fetch_lo = max(memory.map.program_base, 0)
-        fetch_hi = min(memory.map.program_limit, MEMORY_WORDS)
-        decode_cache = DECODER._cache
-        decode_slow = DECODER.decode
-        handlers = _HANDLERS
+        fetch_lo = max(memory_map.program_base, 0)
+        fetch_hi = min(memory_map.program_limit, MEMORY_WORDS)
+        # The addresses Memory.write refuses (all in range: every data
+        # address is masked to 16 bits), and the stack's lower bound.
+        if memory.protect_program:
+            guard_lo = memory_map.program_base
+            guard_hi = memory_map.program_limit
+        else:
+            guard_lo = guard_hi = 0
+        stack_lo = memory_map.data_base
+        trap = self.trap_on_overflow
+        input_ports = self.input_ports
+        output_ports = self.output_ports
+        output_log = self.output_log
         breakpoints = self.breakpoints
-        bind = object.__setattr__
 
         while True:
-            if self.halted:
-                return StopReason.DETECTED if self.detection else StopReason.HALTED
-            cycle = self.cycle
-            if cycle >= next_stop:
-                return stop_reason
             pc = self.pc
-            if breakpoints and pc in breakpoints:
-                return StopReason.BREAKPOINT
+            cycle = self.cycle
+            z = self.flag_z
+            n = self.flag_n
+            c = self.flag_c
+            v = self.flag_v
+            word = self.ir
+            mar = self.mar
+            mdr = self.mdr
+            ihits = icache.hits
+            dhits = dcache.hits
 
-            # -- fetch ------------------------------------------------
-            line = ilines[pc & imask]
-            itag = (pc >> ibits) & 0xFFFF
-            if line._valid and line._tag == itag:
-                if line._dirty:
-                    icache.hits += 1
+            while True:
+                if cycle >= next_stop:
+                    stop = stop_reason
+                    break
+                if breakpoints and pc in breakpoints:
+                    stop = StopReason.BREAKPOINT
+                    break
+
+                # -- fetch --------------------------------------------
+                line = ilines[pc & imask]
+                if line._valid and line._tag == pc >> ibits:
+                    if not line._dirty:
+                        if (
+                            (line._valid << 63) | (line._tag << 32) | line._data
+                        ).bit_count() & 1 != line._parity:
+                            stop = _FETCH_FAULT
+                            break
+                        line._dirty = True
+                    ihits += 1
                     word = line._data
+                elif fetch_lo <= pc < fetch_hi:
+                    icache.misses += 1
+                    word = line._data = words[pc]
+                    line._valid = 1
+                    line._tag = pc >> ibits
+                    line._dirty = True
                 else:
-                    word = -1  # parity to check: Cache.read below
-            elif fetch_lo <= pc < fetch_hi:
-                icache.misses += 1
-                word = line._data = words[pc]
-                line._valid = 1
-                line._tag = itag
-                line._dirty = True
-            else:
-                word = -1  # fetch fault: Cache.read counts the miss, raises
-            if word < 0:
+                    stop = _FETCH_FAULT
+                    break
+
+                # -- execute the inline opcodes -----------------------
+                op = word >> 24
+                if op < 0x20:
+                    if op == 0x12 or op == 0x14 or op == 0x02:  # LDA, LD, RET
+                        if op == 0x12:
+                            address = word & 0xFFFF
+                        elif op == 0x14:
+                            address = (
+                                regs[(word >> 16) & 15] + ((word & 0xFFF) ^ 0x800) - 0x800
+                            ) & 0xFFFF
+                        else:
+                            sp = regs[REG_SP]
+                            address = sp & 0xFFFF
+                            if address < stack_lo:
+                                stop = _HANDLER
+                                break
+                        line = dlines[address & dmask]
+                        if line._valid and line._tag == address >> dbits:
+                            if not line._dirty:
+                                if (
+                                    (line._valid << 63) | (line._tag << 32) | line._data
+                                ).bit_count() & 1 != line._parity:
+                                    stop = _HANDLER
+                                    break
+                                line._dirty = True
+                            dhits += 1
+                            value = line._data
+                        else:
+                            dcache.misses += 1
+                            value = line._data = words[address]
+                            line._valid = 1
+                            line._tag = address >> dbits
+                            line._dirty = True
+                        mar = address
+                        mdr = value
+                        if op == 0x02:
+                            pc = value & 0xFFFF
+                            regs[REG_SP] = (sp + 1) & WORD_MASK
+                        else:
+                            regs[(word >> 20) & 15] = value
+                            pc = (pc + 1) & 0xFFFF
+                        cycle += 1
+                        continue
+                    elif op == 0x13 or op == 0x15:  # STA, ST
+                        if op == 0x13:
+                            address = word & 0xFFFF
+                        else:
+                            address = (
+                                regs[(word >> 16) & 15] + ((word & 0xFFF) ^ 0x800) - 0x800
+                            ) & 0xFFFF
+                        if not guard_lo <= address < guard_hi:
+                            value = regs[(word >> 20) & 15]
+                            words[address] = value
+                            line = dlines[address & dmask]
+                            line._valid = 1
+                            line._tag = address >> dbits
+                            line._data = value
+                            line._dirty = True
+                            mar = address
+                            mdr = value
+                            pc = (pc + 1) & 0xFFFF
+                            cycle += 1
+                            continue
+                    elif op == 0x10:  # LDI
+                        regs[(word >> 20) & 15] = word & 0xFFFF
+                        pc = (pc + 1) & 0xFFFF
+                        cycle += 1
+                        continue
+                    elif op == 0x16:  # MOV
+                        regs[(word >> 20) & 15] = regs[(word >> 16) & 15]
+                        pc = (pc + 1) & 0xFFFF
+                        cycle += 1
+                        continue
+
+                elif op < 0x30:
+                    a = regs[(word >> 16) & 15]
+                    if op == 0x2E:  # CMP
+                        b = regs[(word >> 12) & 15]
+                        result = (a - b) & WORD_MASK
+                        c = 1 if a < b else 0
+                        v = ((a ^ b) & (a ^ result)) >> 31 & 1
+                        z = 0 if result else 1
+                        n = result >> 31
+                        pc = (pc + 1) & 0xFFFF
+                        cycle += 1
+                        continue
+                    if op == 0x22:  # MUL
+                        b = regs[(word >> 12) & 15]
+                        full = ((a ^ _SIGN_BIT) - _SIGN_BIT) * ((b ^ _SIGN_BIT) - _SIGN_BIT)
+                        result = full & WORD_MASK
+                        if full != (result ^ _SIGN_BIT) - _SIGN_BIT:
+                            if trap:
+                                stop = _HANDLER
+                                break
+                            v = 1
+                        else:
+                            v = 0
+                        z = 0 if result else 1
+                        n = result >> 31
+                    elif op == 0x20 or op == 0x2D:  # ADD, ADDI
+                        if op == 0x20:
+                            b = regs[(word >> 12) & 15]
+                        else:
+                            b = (((word & 0xFFF) ^ 0x800) - 0x800) & WORD_MASK
+                        full = a + b
+                        result = full & WORD_MASK
+                        flag = ((a ^ result) & (b ^ result)) >> 31 & 1
+                        if flag and trap and op == 0x20:
+                            stop = _HANDLER
+                            break
+                        v = flag
+                        c = full >> 32
+                        z = 0 if result else 1
+                        n = result >> 31
+                    elif op == 0x21:  # SUB
+                        b = regs[(word >> 12) & 15]
+                        result = (a - b) & WORD_MASK
+                        flag = ((a ^ b) & (a ^ result)) >> 31 & 1
+                        if flag and trap:
+                            stop = _HANDLER
+                            break
+                        v = flag
+                        c = 1 if a < b else 0
+                        z = 0 if result else 1
+                        n = result >> 31
+                    elif op == 0x2F:  # CMPI
+                        b = (((word & 0xFFF) ^ 0x800) - 0x800) & WORD_MASK
+                        result = (a - b) & WORD_MASK
+                        c = 1 if a < b else 0
+                        v = ((a ^ b) & (a ^ result)) >> 31 & 1
+                        z = 0 if result else 1
+                        n = result >> 31
+                        pc = (pc + 1) & 0xFFFF
+                        cycle += 1
+                        continue
+                    elif 0x28 <= op <= 0x2A:  # SHL, SHR, SAR
+                        shift = regs[(word >> 12) & 15] & 31
+                        if op == 0x2A:
+                            result = (((a ^ _SIGN_BIT) - _SIGN_BIT) >> shift) & WORD_MASK
+                        elif op == 0x28:
+                            result = (a << shift) & WORD_MASK
+                        else:
+                            result = a >> shift
+                        z = 0 if result else 1
+                        n = result >> 31
+                    elif op == 0x25:  # AND
+                        result = a & regs[(word >> 12) & 15]
+                        z = 0 if result else 1
+                        n = result >> 31
+                    elif op == 0x27:  # XOR
+                        result = a ^ regs[(word >> 12) & 15]
+                        z = 0 if result else 1
+                        n = result >> 31
+                    else:
+                        stop = _HANDLER
+                        break
+                    regs[(word >> 20) & 15] = result
+                    pc = (pc + 1) & 0xFFFF
+                    cycle += 1
+                    continue
+
+                elif op < 0x40:
+                    if op <= 0x36:  # BR, BEQ, BNE, BLT, BLE, BGT, BGE
+                        if op == 0x36:
+                            taken = n == v
+                        elif op == 0x34:
+                            taken = z or n != v
+                        elif op == 0x30:
+                            taken = True
+                        elif op == 0x33:
+                            taken = n != v
+                        elif op == 0x35:
+                            taken = not z and n == v
+                        elif op == 0x31:
+                            taken = z
+                        else:
+                            taken = not z
+                        pc = word & 0xFFFF if taken else (pc + 1) & 0xFFFF
+                        cycle += 1
+                        continue
+                    if op == 0x39:  # CALL
+                        sp = (regs[REG_SP] - 1) & WORD_MASK
+                        address = sp & 0xFFFF
+                        if address >= stack_lo and not guard_lo <= address < guard_hi:
+                            regs[REG_SP] = sp
+                            value = (pc + 1) & 0xFFFF
+                            words[address] = value
+                            line = dlines[address & dmask]
+                            line._valid = 1
+                            line._tag = address >> dbits
+                            line._data = value
+                            line._dirty = True
+                            mar = address
+                            mdr = value
+                            pc = word & 0xFFFF
+                            cycle += 1
+                            continue
+
+                elif op == 0x41:  # OUT
+                    port = word & 0xFFFF
+                    value = regs[(word >> 20) & 15]
+                    output_ports[port] = value
+                    output_log.append((cycle, port, value))
+                    pc = (pc + 1) & 0xFFFF
+                    cycle += 1
+                    continue
+                elif op == 0x40:  # IN
+                    regs[(word >> 20) & 15] = input_ports.get(word & 0xFFFF, 0) & WORD_MASK
+                    pc = (pc + 1) & 0xFFFF
+                    cycle += 1
+                    continue
+
+                stop = _HANDLER
+                break
+
+            # -- leave the inline loop: write the locals back ---------
+            self.pc = pc
+            self.cycle = cycle
+            self.flag_z = z
+            self.flag_n = n
+            self.flag_c = c
+            self.flag_v = v
+            self.ir = word
+            self.mar = mar
+            self.mdr = mdr
+            icache.hits = ihits
+            dcache.hits = dhits
+            if stop is _FETCH_FAULT:
+                # Cache.read counts the access and raises.
                 try:
-                    word = icache_read(pc)
+                    icache.read(pc)
                 except CacheParityError as exc:
                     self._detect(Mechanism.ICACHE_PARITY, str(exc))
-                    return StopReason.DETECTED
                 except MemoryViolation as exc:
                     self._detect(Mechanism.MEM_VIOLATION, str(exc))
-                    return StopReason.DETECTED
-            self.ir = word
+                return StopReason.DETECTED
+            if stop is not _HANDLER:
+                return stop
 
-            # -- decode -----------------------------------------------
-            inst = decode_cache.get(word)
+            # -- edge or other opcode: the reference execute ----------
+            inst = DECODER._cache.get(word)
             if inst is None:
                 try:
-                    inst = decode_slow(word)
+                    inst = DECODER.decode(word)
                 except IllegalOpcodeError as exc:
                     self._detect(Mechanism.ILLEGAL_OPCODE, str(exc))
                     return StopReason.DETECTED
-
-            # -- execute ----------------------------------------------
             handler = inst.handler
             if handler is None:
-                handler = handlers[inst.op]
-                bind(inst, "handler", handler)
+                handler = _HANDLERS[inst.op]
+                object.__setattr__(inst, "handler", handler)
             try:
                 stop = handler(self, inst)
             except CacheParityError as exc:
@@ -495,7 +772,6 @@ class ThorCPU:
             except MemoryViolation as exc:
                 self._detect(Mechanism.MEM_VIOLATION, str(exc))
                 return StopReason.DETECTED
-
             self.cycle = cycle + 1
             if stop is not None:
                 return stop
@@ -529,29 +805,6 @@ class ThorCPU:
         if self.mem_hook is not None:
             self.mem_hook(MemAccess(self.cycle, "write", address, value))
 
-    def _set_zn(self, result: int) -> None:
-        self.flag_z = 1 if result == 0 else 0
-        self.flag_n = (result >> 31) & 1
-
-    def _add(self, a: int, b: int) -> int:
-        full = a + b
-        result = full & WORD_MASK
-        self.flag_c = 1 if full > WORD_MASK else 0
-        self.flag_v = 1 if ((a ^ result) & (b ^ result)) >> 31 & 1 else 0
-        self._set_zn(result)
-        return result
-
-    def _sub(self, a: int, b: int) -> int:
-        result = (a - b) & WORD_MASK
-        self.flag_c = 1 if a < b else 0  # borrow
-        self.flag_v = 1 if ((a ^ b) & (a ^ result)) >> 31 & 1 else 0
-        self._set_zn(result)
-        return result
-
-    def _check_stack(self, sp: int) -> None:
-        if not self.memory.map.in_data(sp):
-            raise MemoryViolation("stack", sp)
-
     def _execute(self, inst: Instruction) -> StopReason | None:
         """Dispatch one decoded instruction through its bound handler."""
         handler = inst.handler
@@ -560,26 +813,6 @@ class ThorCPU:
             object.__setattr__(inst, "handler", handler)
         return handler(self, inst)
 
-    def _branch_taken(self, op: Op) -> bool:
-        if op is Op.BR:
-            return True
-        if op is Op.BEQ:
-            return bool(self.flag_z)
-        if op is Op.BNE:
-            return not self.flag_z
-        if op is Op.BLT:
-            return self.flag_n != self.flag_v
-        if op is Op.BLE:
-            return bool(self.flag_z) or self.flag_n != self.flag_v
-        if op is Op.BGT:
-            return not self.flag_z and self.flag_n == self.flag_v
-        if op is Op.BGE:
-            return self.flag_n == self.flag_v
-        if op is Op.BCS:
-            return bool(self.flag_c)
-        if op is Op.BVS:
-            return bool(self.flag_v)
-        raise AssertionError(f"not a branch: {op!r}")  # pragma: no cover
 
 
 # ----------------------------------------------------------------------
@@ -1013,3 +1246,17 @@ _HANDLERS: dict[Op, Callable[[ThorCPU, Instruction], StopReason | None]] = {
 }
 
 assert set(_HANDLERS) == set(Op), "every opcode needs a handler"
+# ThorCPU._run_fast keys its inline opcodes on these byte values.
+assert (
+    Op.RET, Op.LDI, Op.LDA, Op.STA, Op.LD, Op.ST, Op.MOV,
+    Op.ADD, Op.SUB, Op.MUL, Op.AND, Op.XOR, Op.SHL, Op.SHR, Op.SAR,
+    Op.ADDI, Op.CMP, Op.CMPI,
+    Op.BR, Op.BEQ, Op.BNE, Op.BLT, Op.BLE, Op.BGT, Op.BGE, Op.CALL,
+    Op.IN, Op.OUT,
+) == (
+    0x02, 0x10, 0x12, 0x13, 0x14, 0x15, 0x16,
+    0x20, 0x21, 0x22, 0x25, 0x27, 0x28, 0x29, 0x2A,
+    0x2D, 0x2E, 0x2F,
+    0x30, 0x31, 0x32, 0x33, 0x34, 0x35, 0x36, 0x39,
+    0x40, 0x41,
+)

@@ -122,15 +122,16 @@ class TestCard:
         return self.cpu.memory.host_read_block(address, count)
 
     def write_memory(self, address: int, words: list[int] | int) -> None:
-        if isinstance(words, int):
-            words = [words]
-        self.cpu.memory.load_image(address, words)
         # Coherent DMA: drop any cached copies of the rewritten words so
         # the CPU observes them (environment-simulator input data,
         # runtime-SWIFI corruptions).
-        for offset in range(len(words)):
-            self.cpu.dcache.snoop_invalidate(address + offset)
-            self.cpu.icache.snoop_invalidate(address + offset)
+        if isinstance(words, int):
+            words = [words]
+        cpu = self.cpu
+        for offset, value in enumerate(words):
+            cpu.memory.host_write(address + offset, value)
+            cpu.dcache.snoop_invalidate(address + offset)
+            cpu.icache.snoop_invalidate(address + offset)
 
     # ------------------------------------------------------------------
     # Scan-chain access

@@ -104,6 +104,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             make_config(detail_period=0)
 
+    def test_fault_model_must_be_a_fault_model(self):
+        # A name is not enough: it used to fail only later, in to_dict.
+        with pytest.raises(ConfigurationError, match="fault_model must be a FaultModel"):
+            make_config(fault_model="transient_bitflip")
+
 
 class TestConfigSerialisation:
     def test_roundtrip_defaults(self):

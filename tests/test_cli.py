@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli.main import main
+from repro.db import GoofiDatabase
 
 
 @pytest.fixture
@@ -55,6 +56,26 @@ class TestCampaignLifecycle:
         assert "8/8 experiments" in out
         assert run_cli("analyze", "--db", db_path, "c1") == 0
         assert "Effective errors" in capsys.readouterr().out
+
+    def test_second_target_create_run_report(self, db_path, tmp_path, capsys):
+        """A campaign created with --target runs, re-runs and is
+        reported on that target: every later command opens its session
+        on the stored campaign's target."""
+        assert run_cli(
+            "campaign", "create", "--db", db_path, "--name", "sm",
+            "--target", "thor-sm", "--workload", "s_checksum",
+            "--locations", "internal:ctrl.*", "--experiments", "12", "--seed", "3",
+        ) == 0
+        assert run_cli("run", "--db", db_path, "sm", "--quiet") == 0
+        assert "12/12 experiments" in capsys.readouterr().out
+        assert run_cli("report", "--db", db_path, "sm", "--out", str(tmp_path / "r")) == 0
+        assert "wrote report for campaign 'sm'" in capsys.readouterr().out
+        assert run_cli("analyze", "--db", db_path, "sm", "--summary") == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 12
+        assert run_cli("rerun", "--db", db_path, "sm/exp00001") == 0
+        assert "detail mode" in capsys.readouterr().out
+        with GoofiDatabase(db_path) as db:
+            assert db.load_campaign("sm").target_name == "thor-sm"
 
     def test_analyze_summary_json(self, db_path, capsys):
         self.create(db_path)

@@ -7,9 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.targets.thor.assembler import assemble
-from repro.targets.thor.cpu import StopReason, ThorCPU, to_signed, to_word
+from repro.targets.thor.cpu import (
+    StopReason,
+    ThorCPU,
+    _h_add,
+    _h_sub,
+    to_signed,
+    to_word,
+)
 from repro.targets.thor.edm import Mechanism
-from repro.targets.thor.isa import REG_SP
+from repro.targets.thor.isa import REG_SP, Instruction, Op
 from repro.targets.thor.memory import DATA_BASE, STACK_TOP
 
 
@@ -481,7 +488,8 @@ class TestOverflowTrapMode:
 def test_property_add_matches_python_semantics(a, b):
     cpu = ThorCPU()
     cpu.regs[1], cpu.regs[2] = a, b
-    result = cpu._add(a, b)
+    assert _h_add(cpu, Instruction(Op.ADD, rd=3, ra=1, rb=2)) is None
+    result = cpu.regs[3]
     assert result == (a + b) & 0xFFFFFFFF
     assert cpu.flag_c == (1 if a + b > 0xFFFFFFFF else 0)
     assert cpu.flag_z == (1 if result == 0 else 0)
@@ -490,7 +498,9 @@ def test_property_add_matches_python_semantics(a, b):
 @given(a=st.integers(0, 0xFFFFFFFF), b=st.integers(0, 0xFFFFFFFF))
 def test_property_sub_matches_python_semantics(a, b):
     cpu = ThorCPU()
-    result = cpu._sub(a, b)
+    cpu.regs[1], cpu.regs[2] = a, b
+    assert _h_sub(cpu, Instruction(Op.SUB, rd=3, ra=1, rb=2)) is None
+    result = cpu.regs[3]
     assert result == (a - b) & 0xFFFFFFFF
     assert cpu.flag_c == (1 if a < b else 0)
     signed_diff = to_signed(a) - to_signed(b)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.targets.thor.cpu import ThorCPU, to_signed, to_word
+from repro.targets.thor.cpu import _HANDLERS, ThorCPU, _h_cmp, to_signed, to_word
 from repro.targets.thor.isa import Instruction, Op, encode
 
 #: Ops covered by the golden evaluator: all pure register arithmetic.
@@ -134,12 +134,18 @@ def test_compare_flags_match_python_comparisons(a, b):
     """After CMP, every signed branch condition agrees with Python."""
     cpu = ThorCPU()
     cpu.regs[1], cpu.regs[2] = a, b
-    cpu._sub(a, b)
+    _h_cmp(cpu, Instruction(Op.CMP, ra=1, rb=2))
+
+    def taken(op: Op) -> bool:
+        cpu.pc = 0
+        _HANDLERS[op](cpu, Instruction(op, imm=0x100))
+        return cpu.pc == 0x100
+
     sa, sb = to_signed(a), to_signed(b)
-    assert cpu._branch_taken(Op.BEQ) == (sa == sb)
-    assert cpu._branch_taken(Op.BNE) == (sa != sb)
-    assert cpu._branch_taken(Op.BLT) == (sa < sb)
-    assert cpu._branch_taken(Op.BLE) == (sa <= sb)
-    assert cpu._branch_taken(Op.BGT) == (sa > sb)
-    assert cpu._branch_taken(Op.BGE) == (sa >= sb)
-    assert cpu._branch_taken(Op.BCS) == (a < b)  # unsigned borrow
+    assert taken(Op.BEQ) == (sa == sb)
+    assert taken(Op.BNE) == (sa != sb)
+    assert taken(Op.BLT) == (sa < sb)
+    assert taken(Op.BLE) == (sa <= sb)
+    assert taken(Op.BGT) == (sa > sb)
+    assert taken(Op.BGE) == (sa >= sb)
+    assert taken(Op.BCS) == (a < b)  # unsigned borrow

@@ -13,6 +13,9 @@ equivalence down where the two loops are easiest to drive apart:
   the program area, and icache/dcache lines corrupted at a break;
 * instruction words rewritten mid-run (the decode caches key on the raw
   word, so self-modified code needs no invalidation);
+* one Hypothesis property per core over short programs drawn from every
+  opcode, with operands, stacks or caches, and run bounds drawn in and
+  out of range, so that each edge of an inline opcode is met;
 * whole campaigns — SCIFI, pre-runtime SWIFI, runtime SWIFI, pin-level,
   serial/parallel/checkpointed — whose logged rows must be bit-identical
   between ``fast=True`` and ``fast=False``.
@@ -34,6 +37,8 @@ from repro.targets.stack.machine import DATA_BASE, MEMORY_WORDS
 from repro.targets.thor.assembler import assemble
 from repro.targets.thor.cpu import StopReason, ThorCPU
 from repro.targets.thor.edm import Mechanism
+from repro.targets.thor.isa import BRANCH_OPS, CALL_OPS, REG_SP, Op
+from repro.targets.thor.memory import DATA_BASE as THOR_DATA_BASE
 from repro.targets.thor.testcard import TestCard
 
 
@@ -205,6 +210,203 @@ def stack_cases(draw):
             st.lists(st.tuples(_BOUND, st.none() | _BOUND), min_size=1, max_size=2)
         ),
     )
+
+
+#: The thor-rd opcodes the fused loop runs inline.
+THOR_INLINE_OPS = [
+    Op.LDA, Op.STA, Op.LD, Op.ST, Op.LDI, Op.MOV,
+    Op.ADD, Op.ADDI, Op.SUB, Op.MUL, Op.CMP, Op.CMPI, Op.AND, Op.XOR,
+    Op.SHL, Op.SHR, Op.SAR,
+    Op.BR, Op.BEQ, Op.BNE, Op.BLT, Op.BLE, Op.BGT, Op.BGE, Op.CALL, Op.RET,
+    Op.IN, Op.OUT,
+]
+#: Every opcode byte, the inline ones three times as likely, plus three
+#: undefined ones.
+THOR_OPCODE_BYTES = (
+    [int(op) for op in list(Op) + THOR_INLINE_OPS * 2] + [0x04, 0x3B, 0xFF]
+)
+#: Where drawn register values lie: small (program addresses, branch
+#: targets, shift counts), the drawn data words, either side of the
+#: sign bit and just below 2**32 (overflow), and any 32-bit word.
+_THOR_VALUES = (
+    (0, 16),
+    (THOR_DATA_BASE, THOR_DATA_BASE + 8),
+    (0x7FFFFFF0, 0x80000000),
+    (0x80000000, 0x80000010),
+    (0xFFFFFFF0, 0x100000000),
+    (0, 0x100000000),
+)
+#: Where the low 16 bits of a drawn word lie (imm16, or rb and imm12):
+#: the program, the data words, the program area's end, the stack top,
+#: and anywhere.
+_THOR_LOW16 = (
+    (0, 16),
+    (THOR_DATA_BASE, THOR_DATA_BASE + 8),
+    (THOR_DATA_BASE - 8, THOR_DATA_BASE),
+    (0xFFF0, 0x10000),
+    (0, 0x10000),
+)
+#: Stack pointers: near zero and either side of the data area's base
+#: (CALL/RET bounds), on the data words, at the stack top, at the top of
+#: memory, anywhere.
+_THOR_SP = (
+    (0, 4),
+    (THOR_DATA_BASE - 1, THOR_DATA_BASE + 1),
+    (THOR_DATA_BASE, THOR_DATA_BASE + 8),
+    (0xFFEE, 0xFFF2),
+    (0xFFFF, 0x10001),
+    (0, 0x100000000),
+)
+
+#: Opcodes whose imm16 is a jump target, and those whose imm16 is a
+#: data address.
+_THOR_JUMPS = {int(op) for op in BRANCH_OPS | CALL_OPS}
+_THOR_DATA_OPS = {int(Op.LDA), int(Op.STA)}
+#: LD and ST often address the data words through R13, which starts at
+#: the data base.
+_THOR_BASED_OPS = {int(Op.LD), int(Op.ST)}
+_THOR_BASE = 13
+
+
+@st.composite
+def thor_cases(draw):
+    """A short thor-rd program over every opcode, its register file,
+    flags and data words, the caches preset line by line, and one or two
+    run calls with drawn bounds.
+
+    A preset cache line is either filled through ``Cache.read`` (dirty:
+    parity in sync by construction) or written with its parity settled
+    (clean, as after a checkpoint restore).  A clean line may then have
+    its data or its parity bit flipped, or both (a masked error).  Each
+    case draws ``trap_on_overflow``, the MPU's program-area protection
+    and, now and then, address breakpoints.  As in :func:`stack_cases`,
+    everything comes from one drawn seed: drawing each part costs more
+    than the runs, and drawn integers would make sizes and bounds mostly
+    small.
+
+    Each case also draws a profile: two focus opcodes that fill half its
+    words, the one or two ranges its register values come from, two for
+    its low halfwords, and whether its dcache holds corrupted lines.
+    An edge of one inline opcode needs several of these at once (a CALL
+    with a stack pointer just above the program area and the MPU off;
+    an LDA of a data word whose clean line has a flipped bit), and a
+    profile makes each such case common enough to be met."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    value_ranges = rng.sample(_THOR_VALUES, rng.randint(1, 2))
+    low_ranges = rng.sample(_THOR_LOW16, 2)
+    focus = [int(op) for op in rng.sample(THOR_INLINE_OPS, 2)]
+
+    def pick(ranges) -> int:
+        low, high = rng.choice(ranges)
+        return rng.randrange(low, high)
+
+    size = rng.randint(1, 16)
+    words = []
+    for _ in range(size):
+        op = rng.choice(focus if rng.random() < 0.5 else THOR_OPCODE_BYTES)
+        if op in _THOR_JUMPS and rng.random() < 0.75:
+            low = rng.randrange(size)  # a target inside the program
+        elif op in _THOR_DATA_OPS and rng.random() < 0.5:
+            low = rng.randrange(THOR_DATA_BASE, THOR_DATA_BASE + 8)
+        else:
+            low = pick(low_ranges)
+        base = rng.randrange(16)
+        if op in _THOR_BASED_OPS and rng.random() < 0.5:
+            base, low = _THOR_BASE, rng.randrange(8)  # a data word
+        words.append((op << 24) | (rng.randrange(16) << 20) | (base << 16) | low)
+    if rng.random() < 0.5:
+        words.append(int(Op.BR) << 24)  # loop back to the entry
+    regs = [pick(value_ranges) for _ in range(16)]
+    regs[_THOR_BASE] = THOR_DATA_BASE
+    regs[REG_SP] = pick(_THOR_SP) & 0xFFFFFFFF
+
+    def lines(addresses, corrupt: bool):
+        """(address, how, flip) for most of ``addresses``: how is "fill"
+        or "clean"; flip 0 none, 1 data, 2 parity, 3 both.  A corrupt
+        cache has every line clean and most of them flipped."""
+        preset = []
+        for address in addresses:
+            if corrupt:
+                preset.append((address, "clean", rng.choice((0, 1, 2, 3))))
+            elif rng.random() < 0.75:
+                preset.append((address, rng.choice(("fill", "clean")), 0))
+        return preset
+
+    # A corrupted instruction line stops the run where it is fetched, so
+    # an icache holds at most one, in a quarter of the cases.
+    icache = lines(range(size), corrupt=False)
+    if rng.random() < 0.25:
+        icache.append((rng.randrange(size), "clean", rng.choice((1, 2, 3))))
+
+    return dict(
+        words=words,
+        data=[pick(value_ranges + [(0, 16)]) for _ in range(8)],
+        regs=regs,
+        psw=draw(st.integers(0, 15)),
+        inputs={port: pick(value_ranges) for port in range(3)},
+        icache=icache,
+        dcache=lines(range(THOR_DATA_BASE, THOR_DATA_BASE + 8), rng.random() < 0.5),
+        trap_on_overflow=draw(st.booleans()),
+        protect_program=draw(st.booleans()),
+        breakpoints={rng.randrange(size + 1)} if rng.random() < 0.25 else set(),
+        runs=[
+            (rng.randrange(65), rng.choice((None, rng.randrange(65))))
+            for _ in range(draw(st.integers(1, 2)))
+        ],
+    )
+
+
+def thor_setup(case: dict, *, fast: bool) -> ThorCPU:
+    """A ThorCPU in the state ``case`` (from :func:`thor_cases`) draws."""
+    cpu = ThorCPU(trap_on_overflow=case["trap_on_overflow"])
+    cpu.fast = fast
+    cpu.memory.protect_program = case["protect_program"]
+    cpu.memory.load_image(0, case["words"])
+    cpu.memory.load_image(THOR_DATA_BASE, case["data"])
+    cpu.reset(0)
+    cpu.regs[:] = case["regs"]
+    cpu.psw = case["psw"]
+    cpu.input_ports.update(case["inputs"])
+    cpu.breakpoints = set(case["breakpoints"])
+    for cache, preset in ((cpu.icache, case["icache"]), (cpu.dcache, case["dcache"])):
+        for address, how, flip in preset:
+            if how == "fill":
+                cache.read(address)
+                continue
+            line = cache.lines[address & cache._index_mask]
+            line.valid = 1
+            line.tag = address >> cache._index_bits
+            line.data = cpu.memory.host_read(address)
+            line.recompute_parity()
+            if flip & 1:
+                line.data ^= 1 << (address % 32)
+            if flip & 2:
+                line.parity ^= 1
+    return cpu
+
+
+def thor_run_both(case: dict) -> ThorCPU:
+    """Run ``case`` through the fused loop and through the reference
+    loop, one ``run(max_cycles, stop_at_cycle)`` call per entry of
+    ``case["runs"]``, and assert that both give the same stop reasons
+    (or raise the same exception type), the same ``save_state()`` and
+    the same detection.  Returns the fast CPU."""
+    seen = []
+    for fast in (True, False):
+        cpu = thor_setup(case, fast=fast)
+        stops = []
+        for max_cycles, stop_at_cycle in case["runs"]:
+            try:
+                stops.append(cpu.run(max_cycles, stop_at_cycle))
+            except Exception as exc:  # noqa: BLE001 - compared, not hidden
+                stops.append(type(exc))
+                break
+        seen.append((cpu, stops, cpu.save_state(), cpu.detection))
+    (fast_cpu, *fast_result), (ref_cpu, *ref_result) = seen
+    assert fast_result == ref_result
+    assert fast_cpu.fast_segments == len(fast_result[0])
+    assert ref_cpu.fast_segments == 0
+    return fast_cpu
 
 
 def rows_by_name(db, campaign: str) -> dict:
@@ -473,6 +675,11 @@ class TestThorEquivalence:
         assert cpu.detection.mechanism is Mechanism.DCACHE_PARITY
         assert cpu.detection.cycle == 5 and cpu.cycle == 5
 
+    @settings(max_examples=1000, deadline=None)
+    @given(case=thor_cases())
+    def test_any_program_matches_reference(self, case):
+        thor_run_both(case)
+
     def test_host_rewritten_instruction_mid_run(self):
         # Host DMA rewrites an instruction word between run segments
         # (the runtime-SWIFI path).  The decode caches key on the raw
@@ -631,10 +838,19 @@ class TestStackEquivalence:
 
     def test_stack_pointer_past_its_stack(self):
         """A scan-injected pointer past the stack takes the handlers,
-        which fail the same way the reference loop fails."""
-        stack_run_both([stack_word(SOp.ADD), HALT], pointers=(20, 0))
-        stack_run_both([stack_word(SOp.RET), HALT], pointers=(0, 12))
-        stack_run_both([stack_word(SOp.PUSHI, 1), HALT], pointers=(17, 0))
+        whose pop or push detects it: a stack-bounds detection, not a
+        crash, in both loops."""
+        for word, pointers, detail in (
+            (stack_word(SOp.ADD), (20, 0), "data stack pointer out of range"),
+            (stack_word(SOp.DROP), (31, 0), "data stack pointer out of range"),
+            (stack_word(SOp.RET), (0, 12), "return stack pointer out of range"),
+            (stack_word(SOp.PUSHI, 1), (17, 0), "data stack overflow"),
+            (stack_word(SOp.CALL, 0), (0, 9), "return stack overflow"),
+        ):
+            machine = stack_run_both([word, HALT], pointers=pointers)
+            assert machine.detection["mechanism"] == "stack_bounds"
+            assert machine.detection["detail"] == detail
+            assert (machine.dsp, machine.rsp) == pointers
 
 
 # ----------------------------------------------------------------------

@@ -338,3 +338,30 @@ class TestCampaignOnStackTarget:
             result = session.run_campaign("smpre")
             assert result.experiments_run == 40
             assert session.classify("smpre").effective > 0
+
+    def test_scan_fault_past_the_data_stack_is_a_detection(self):
+        """A flip of the 5-bit ctrl.DSP over 16 cells can point past the
+        data stack; the next pop must be a stack-bounds detection and
+        the campaign must log every experiment, not abort."""
+        with GoofiSession(target_name="thor-sm") as session:
+            session.target.init_test_card()
+            session.target.load_workload("s_checksum")
+            data = session.target.location_space().region("data")
+            config = CampaignConfig(
+                name="dsp",
+                target="thor-sm",
+                technique="scifi",
+                workload="s_checksum",
+                location_patterns=("internal:ctrl.DSP",),
+                num_experiments=30,
+                termination=Termination(max_cycles=5_000),
+                observation=ObservationSpec(memory_ranges=((data.base, data.words),)),
+                seed=5,
+            )
+            session.setup_campaign(config)
+            result = session.run_campaign("dsp")
+            assert not result.aborted
+            assert result.experiments_run == 30
+            classification = session.classify("dsp")
+            assert classification.total == 30
+            assert "stack_bounds" in {c.mechanism for c in classification.classifications}

@@ -23,15 +23,34 @@ campaign's reference row: outputs (the workload's result sequence)
 decide wrong-result failures, the termination outcome decides detection
 and timeliness, and the observed state vector decides latent vs
 overwritten.
+
+Each row is classified once, where it is made
+(:meth:`ReferenceState.row`): in the campaign's experiment loop, where
+pruned rows are synthesised, and by the database's single-row writers
+and schema migration.  The verdict is stored in the row's analysis
+columns, and :func:`classify_campaign` builds the campaign's view from
+those columns without decoding any JSON.
 """
 
 from __future__ import annotations
 
+import logging
 from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..core.errors import AnalysisError
-from ..db import ExperimentRecord, GoofiDatabase, reference_name
+from ..core.locations import Location
+from ..db import (
+    ExperimentFacts,
+    ExperimentRecord,
+    GoofiDatabase,
+    reference_name,
+)
+from ..db.database import install_row_classifier
+
+logger = logging.getLogger(__name__)
 
 CATEGORY_DETECTED = "detected"
 CATEGORY_ESCAPED = "escaped"
@@ -44,11 +63,15 @@ ESCAPE_TIMELINESS = "timeliness"
 EFFECTIVE_CATEGORIES = (CATEGORY_DETECTED, CATEGORY_ESCAPED)
 NON_EFFECTIVE_CATEGORIES = (CATEGORY_LATENT, CATEGORY_OVERWRITTEN)
 
+#: The analysis columns of a row the classifier refused during a fill.
+UNCLASSIFIED = (None,) * 7
 
-@dataclass(frozen=True, slots=True)
-class Classification:
-    """The analysis verdict for one experiment, next to the parts of its
-    row every breakdown reads (so none of them re-reads the row)."""
+
+class Classification(NamedTuple):
+    """The analysis verdict for one experiment, with the facts of its
+    row every breakdown reads — the row's analysis columns, in their
+    order (so none of them decodes the row).  A named tuple: a view
+    makes one per experiment, and a tuple is the cheapest to make."""
 
     experiment_name: str
     category: str
@@ -56,13 +79,18 @@ class Classification:
     mechanism: str | None = None
     #: ``wrong_output`` or ``timeliness`` for escaped errors.
     escape_kind: str | None = None
+    #: The termination outcome and cycle.
+    outcome: str | None = None
+    termination_cycle: int | None = None
+    #: The first fault's element key (``internal:regs.R1``,
+    #: ``memory:0x4000``) and injection cycle; ``None`` without faults.
+    fault_element: str | None = None
+    fault_cycle: int | None = None
     #: State-vector keys that differ from the reference (latent errors;
-    #: also filled for escaped wrong-output errors).
+    #: also filled for escaped wrong-output errors).  Not stored: only a
+    #: verdict made from the row's payloads (:meth:`ReferenceState.classify`)
+    #: carries them.
     differing_keys: tuple[str, ...] = ()
-    #: The row's ``experimentData`` (faults, index, technique).
-    experiment_data: dict = field(default_factory=dict, compare=False, repr=False)
-    #: The state vector's termination record (outcome, cycle, detection).
-    termination: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def effective(self) -> bool:
@@ -148,9 +176,70 @@ class ReferenceState:
             else:
                 category = CATEGORY_OVERWRITTEN
         return Classification(
-            name, category, mechanism, escape_kind, differing,
-            record.experiment_data, termination,
+            name, category, mechanism, escape_kind, differing_keys=differing
         )
+
+    def row(self, record: ExperimentRecord, state_json: str | None = None) -> tuple:
+        """``record``'s complete ``LoggedSystemState`` row: its payload
+        columns (:meth:`ExperimentRecord.to_row`, ``state_json`` as
+        there) followed by its analysis columns, classified against this
+        reference.  Raises :class:`AnalysisError` for a row the
+        classifier refuses."""
+        return record.to_row(state_json) + verdict_columns(record, self)
+
+
+def verdict_columns(record: ExperimentRecord, reference: ReferenceState | None) -> tuple:
+    """The analysis columns of ``record``'s row: ``category``,
+    ``mechanism``, ``escapeKind`` (its verdict against ``reference``),
+    ``outcome``, ``terminationCycle``, ``faultElement`` and
+    ``faultCycle``.
+
+    The campaign's reference row, and a row whose ``reference`` is not
+    known yet (``None``), get no verdict."""
+    if reference is None or record.experiment_name == reference_name(
+        record.campaign_name
+    ):
+        verdict = (None, None, None)
+    else:
+        classification = reference.classify(record)
+        verdict = (
+            classification.category,
+            classification.mechanism,
+            classification.escape_kind,
+        )
+    termination = record.state_vector.get("termination") or {}
+    faults = record.experiment_data.get("faults") or []
+    if faults:
+        first = faults[0]
+        element = Location.from_dict(first["location"]).element_key
+        cycle = first.get("injection_cycle")
+        fault = (element, None if cycle is None else int(cycle))
+    else:
+        fault = (None, None)
+    return (*verdict, termination.get("outcome"), termination.get("cycle"), *fault)
+
+
+def row_classifier(reference: dict | None, lenient: bool = False) -> Callable:
+    """The database's classifier (:func:`repro.db.database.install_row_classifier`):
+    a function giving a record its :func:`verdict_columns` against
+    ``reference``, a reference row's state vector.  With ``lenient``, a
+    row the classifier refuses gets :data:`UNCLASSIFIED` columns and a
+    warning instead of an :class:`AnalysisError`."""
+    state = None if reference is None else ReferenceState.of(reference)
+
+    def columns(record: ExperimentRecord) -> tuple:
+        try:
+            return verdict_columns(record, state)
+        except AnalysisError as exc:
+            if not lenient:
+                raise
+            logger.warning("left %s unclassified: %s", record.experiment_name, exc)
+            return UNCLASSIFIED
+
+    return columns
+
+
+install_row_classifier(row_classifier)
 
 
 def classify_experiment(
@@ -166,14 +255,16 @@ def classify_experiment(
 @dataclass(slots=True)
 class CampaignClassification:
     """The campaign's analysis view: one :class:`Classification` per
-    experiment (in logging order, with its row's ``experimentData`` and
-    termination record), the reference it was classified against, and
-    the outcome counts.  Every report, breakdown, latency table and gate
-    reads the campaign from this one view."""
+    experiment (in logging order), the reference it was classified
+    against, and the outcome counts.  Every report, breakdown, latency
+    table and gate reads the campaign from this one view; the readers
+    that need more of a row (:meth:`facts`) decode it on demand from
+    ``db``, the database the view was read from."""
 
     campaign_name: str
     classifications: list[Classification] = field(default_factory=list)
     reference: ReferenceState | None = None
+    db: GoofiDatabase | None = field(default=None, repr=False, compare=False)
     _categories: Counter = field(init=False, repr=False, compare=False)
     _mechanisms: Counter = field(init=False, repr=False, compare=False)
     _escape_kinds: Counter = field(init=False, repr=False, compare=False)
@@ -228,6 +319,17 @@ class CampaignClassification:
     def by_escape_kind(self) -> dict[str, int]:
         return dict(self._escape_kinds)
 
+    def facts(self, category: str | None = None) -> Iterator[ExperimentFacts]:
+        """Each classified row's decoded ``experimentData`` and
+        termination record (of ``category`` only, if given), in view
+        order."""
+        if self.db is None:
+            raise AnalysisError(
+                f"the view of campaign {self.campaign_name!r} was not read "
+                f"from a database"
+            )
+        return self.db.iter_experiment_facts(self.campaign_name, category)
+
     def summary(self) -> dict:
         return {
             "campaign": self.campaign_name,
@@ -244,17 +346,19 @@ class CampaignClassification:
 
 
 def classify_campaign(db: GoofiDatabase, campaign_name: str) -> CampaignClassification:
-    """Build a campaign's analysis view: classify every experiment
-    against the reference in one pass over its rows."""
+    """Build a campaign's analysis view from its rows' analysis columns
+    (one query, no JSON decoded but the reference's)."""
     reference = db.load_experiment(reference_name(campaign_name))
-    state = ReferenceState.of(reference.state_vector)
+    rows = db.verdict_rows(campaign_name)
+    for row in rows:
+        if row[1] is None:
+            raise AnalysisError(
+                f"experiment {row[0]!r} has no stored classification: its row "
+                f"is malformed or could not be classified when it was stored"
+            )
     return CampaignClassification(
         campaign_name,
-        [
-            state.classify(record)
-            for record in db.iter_experiments(campaign_name)
-            if record.experiment_name != reference.experiment_name
-            and record.experiment_data.get("technique") != "reference"
-        ],
-        state,
+        [Classification(*row) for row in rows],
+        ReferenceState.of(reference.state_vector),
+        db,
     )

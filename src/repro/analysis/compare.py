@@ -70,8 +70,8 @@ class CampaignComparison:
 
 def _by_index(view: CampaignClassification) -> dict[int, tuple]:
     experiments: dict[int, tuple] = {}
-    for verdict in view.classifications:
-        data = verdict.experiment_data
+    for verdict, facts in zip(view.classifications, view.facts(), strict=True):
+        data = facts.experiment_data
         faults = tuple(
             f"{f['location']}@{f['injection_cycle']}" for f in data.get("faults", [])
         )

@@ -13,7 +13,7 @@ import io
 from pathlib import Path
 
 from ..core.errors import AnalysisError
-from ..db import GoofiDatabase
+from ..db import GoofiDatabase, reference_name
 from .classify import classify_campaign
 from .latency import _latency_of
 
@@ -40,9 +40,16 @@ COLUMNS = [
 
 def export_rows(db: GoofiDatabase, campaign_name: str) -> list[dict]:
     """The export as dictionaries (one per experiment)."""
+    view = classify_campaign(db, campaign_name)
+    reference = reference_name(campaign_name)
+    records = (
+        record
+        for record in db.iter_experiments(campaign_name)
+        if record.experiment_name != reference
+    )
     rows: list[dict] = []
-    for verdict in classify_campaign(db, campaign_name).classifications:
-        data = verdict.experiment_data
+    for verdict, record in zip(view.classifications, records, strict=True):
+        data = record.experiment_data
         faults = data.get("faults", [])
         first = faults[0] if faults else {}
         location = first.get("location", {})
@@ -52,8 +59,8 @@ def export_rows(db: GoofiDatabase, campaign_name: str) -> list[dict]:
             location_label = f"memory:0x{int(location.get('address', 0)):04X}"
         else:
             location_label = ""
-        termination = verdict.termination
-        latency_sample = _latency_of(verdict)
+        termination = record.termination
+        latency_sample = _latency_of(record)
         rows.append(
             {
                 "experiment": verdict.experiment_name,
@@ -71,7 +78,9 @@ def export_rows(db: GoofiDatabase, campaign_name: str) -> list[dict]:
                 "termination_cycle": termination.get("cycle", ""),
                 "iterations": termination.get("iteration", ""),
                 "detection_latency": latency_sample.latency if latency_sample else "",
-                "differing_keys": ";".join(verdict.differing_keys),
+                # Not stored with the verdict: the row is classified
+                # again for its differing keys.
+                "differing_keys": ";".join(view.reference.classify(record).differing_keys),
             }
         )
     if not rows:

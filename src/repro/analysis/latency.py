@@ -9,8 +9,9 @@ what make backward recovery cheap.
 Input is a campaign's analysis view
 (:func:`repro.analysis.classify.classify_campaign`): each detected
 experiment carries the detection cycle in its termination record and
-the injection cycle(s) in its ``experimentData``.  Latency is measured
-from the first applied fault.
+the injection cycle(s) in its ``experimentData``, which are decoded for
+the detected rows only.  Latency is measured from the first applied
+fault.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.errors import AnalysisError
-from .classify import CampaignClassification, Classification
+from ..db import ExperimentFacts
+from .classify import CATEGORY_DETECTED, CampaignClassification
 
 
 class MissingDetectionCycle(AnalysisError):
@@ -104,11 +106,12 @@ class LatencyStatistics:
         ]
 
 
-def _latency_of(record: Classification, strict: bool = False) -> LatencySample | None:
+def _latency_of(record: ExperimentFacts, strict: bool = False) -> LatencySample | None:
     """The latency sample of one experiment, or ``None`` for experiments
     that carry no latency (not detected, or no applied fault).  Reads
-    ``experiment_name``, ``experiment_data`` and ``termination``, which a
-    :class:`Classification` and an ``ExperimentRecord`` both carry.
+    ``experiment_name``, ``experiment_data`` and ``termination``, which
+    :class:`~repro.db.ExperimentFacts` and an ``ExperimentRecord`` both
+    carry.
 
     A detected record whose detection event has no cycle cannot yield a
     sample either: returning the injection cycle instead would fabricate
@@ -158,9 +161,11 @@ def detection_latencies(
     :class:`MissingDetectionCycle`.
     """
     statistics = LatencyStatistics()
-    for verdict in view.classifications:
+    if not view.detected:
+        return statistics
+    for facts in view.facts(CATEGORY_DETECTED):
         try:
-            sample = _latency_of(verdict, strict=True)
+            sample = _latency_of(facts, strict=True)
         except MissingDetectionCycle:
             if strict:
                 raise

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 from ..core.errors import AnalysisError
-from ..core.locations import Location
-from .classify import CampaignClassification, Classification
+from .classify import CampaignClassification
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,11 +182,6 @@ def mechanism_shares(classification: CampaignClassification) -> dict[str, Propor
 # ----------------------------------------------------------------------
 # Per-location and per-time breakdowns
 # ----------------------------------------------------------------------
-def _first_fault(verdict: Classification) -> dict | None:
-    faults = verdict.experiment_data.get("faults") or []
-    return faults[0] if faults else None
-
-
 @dataclass(frozen=True, slots=True)
 class GroupBreakdown:
     """Outcome counts for one group of experiments (a location or a
@@ -235,9 +229,8 @@ def _aggregate(pairs, label=str) -> list[GroupBreakdown]:
 def _location_pairs(view: CampaignClassification):
     """(first-fault element key, classification) per faulted experiment."""
     for verdict in view.classifications:
-        fault = _first_fault(verdict)
-        if fault is not None:
-            yield Location.from_dict(fault["location"]).element_key, verdict
+        if verdict.fault_element is not None:
+            yield verdict.fault_element, verdict
 
 
 def _location_group(key: str) -> str:
@@ -268,9 +261,9 @@ def per_time_breakdown(
 ) -> list[GroupBreakdown]:
     """Outcome mix across the injection-time axis, in equal cycle bins."""
     cycles = [
-        (int(fault["injection_cycle"]), verdict)
+        (verdict.fault_cycle, verdict)
         for verdict in view.classifications
-        if (fault := _first_fault(verdict)) is not None
+        if verdict.fault_cycle is not None
     ]
     if not cycles:
         return []

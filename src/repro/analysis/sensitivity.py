@@ -71,8 +71,9 @@ def bit_sensitivity(db: GoofiDatabase, campaign_name: str) -> dict[str, BitSensi
     table: dict[str, BitSensitivity] = {}
     widths: dict[str, int] = defaultdict(int)
     samples: list[tuple[str, int, bool]] = []
-    for verdict in classify_campaign(db, campaign_name).classifications:
-        faults = verdict.experiment_data.get("faults", [])
+    view = classify_campaign(db, campaign_name)
+    for verdict, facts in zip(view.classifications, view.facts(), strict=True):
+        faults = facts.experiment_data.get("faults", [])
         if not faults:
             continue
         location = Location.from_dict(faults[0]["location"])

@@ -121,9 +121,10 @@ def _worker_label(worker: int) -> str:
 
 def format_stats_report(
     campaign_name: str, snapshot: dict, spans: list[dict] | None = None,
-    slowest: int = 5, resources: list[dict] | None = None,
+    span_count: int = 0, resources: list[dict] | None = None,
 ) -> str:
-    """The full ``goofi stats`` report for one campaign."""
+    """The full ``goofi stats`` report for one campaign.  ``spans`` are
+    the slowest of the campaign's ``span_count`` spans, slowest first."""
     counters = snapshot.get("counters", {})
     gauges = snapshot.get("gauges", {})
     timers = snapshot.get("timers", {})
@@ -257,12 +258,9 @@ def format_stats_report(
                 f"{_fmt_bytes(folded['peak_shm_bytes'])}"
             )
 
-    if spans:
-        ranked = sorted(
-            spans, key=lambda span: -span.get("duration_seconds", 0.0)
-        )[:slowest]
-        lines += ["", f"Slowest experiments (of {len(spans)} spans):"]
-        for span in ranked:
+    if span_count:
+        lines += ["", f"Slowest experiments (of {span_count} spans):"]
+        for span in spans or ():
             span_phases = span.get("phases", {})
             dominant = max(span_phases, key=span_phases.get) if span_phases else "-"
             lines.append(
@@ -282,6 +280,9 @@ def stats_report(
     telemetry snapshot — a run with ``--resources`` but no
     ``--telemetry`` still gets a report (with just the Resources
     section)."""
+    if slowest < 0:
+        # SQLite reads a negative LIMIT as no limit at all.
+        raise AnalysisError(f"slowest must be >= 0, got {slowest}")
     resources = [
         record.sample for record in db.iter_resource_samples(campaign_name)
     ]
@@ -291,9 +292,10 @@ def stats_report(
         if not resources:
             raise
         snapshot = {}
-    spans = [record.span for record in db.iter_spans(campaign_name)]
+    span_count = db.count_spans(campaign_name)
+    spans = [record.span for record in db.slowest_spans(campaign_name, slowest)]
     return format_stats_report(
-        campaign_name, snapshot, spans=spans or None, slowest=slowest,
+        campaign_name, snapshot, spans=spans, span_count=span_count,
         resources=resources or None,
     )
 

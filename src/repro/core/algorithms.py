@@ -50,6 +50,7 @@ import logging
 import time
 from dataclasses import dataclass
 
+from ..analysis.classify import ReferenceState
 from ..db import (
     CampaignRecord,
     ExperimentRecord,
@@ -163,12 +164,16 @@ class _DatabaseSink(EventSink):
     wants_line = False
 
     def __init__(self) -> None:
-        self.spans: list[tuple[str, str, str]] = []
+        self.spans: list[tuple[str, str, str, float]] = []
         self.samples: list[ResourceSampleRecord] = []
         self.snapshot: tuple[str, dict] | None = None
 
     def write_span(self, record: dict, line: str | None, span_json: str) -> None:
-        self.spans.append((record["span"]["experiment"], record["campaign"], span_json))
+        span = record["span"]
+        self.spans.append(
+            (span["experiment"], record["campaign"], span_json,
+             span.get("duration_seconds", 0.0))
+        )
 
     def write(self, record: dict, line: str | None) -> None:
         kind = record["kind"]
@@ -190,7 +195,10 @@ class _DatabaseSink(EventSink):
     def flush(self, db: GoofiDatabase) -> None:
         if self.spans:
             created_at = utc_now()
-            db.save_span_rows([(*span, created_at) for span in self.spans])
+            db.save_span_rows(
+                [(name, campaign, text, created_at, duration)
+                 for name, campaign, text, duration in self.spans]
+            )
         if self.samples:
             db.save_resource_samples(self.samples)
         if self.snapshot is not None:
@@ -201,9 +209,10 @@ class _DatabaseSink(EventSink):
 class _Ingest:
     """The coordinator's one ingest path, shared by both executors.
 
-    Every finished experiment arrives as one result — its encoded
-    ``LoggedSystemState`` row (:meth:`ExperimentRecord.to_row
-    <repro.db.models.ExperimentRecord.to_row>`) and outcome plus the
+    Every finished experiment arrives as one result — its complete
+    ``LoggedSystemState`` row, analysis columns included
+    (:meth:`ReferenceState.row
+    <repro.analysis.classify.ReferenceState.row>`), and outcome plus the
     span records, probe summaries and resource samples gathered with it
     — and every shard closes with one shard-end summary.  Rows are
     written as they came, never decoded.  Here
@@ -434,6 +443,10 @@ class FaultInjectionAlgorithms:
         #: :meth:`make_reference_run` — pruned rows synthesise their
         #: state vector from it.
         self._reference_record: ExperimentRecord | None = None
+        #: The classifier's view of that record, which every row made
+        #: by :meth:`run_shard` is classified against (shipped to the
+        #: worker processes with their start-up state).
+        self.reference_state: ReferenceState | None = None
         #: Config key the cached ``reference_trace`` was recorded under —
         #: guards the detail-rerun fast path against reusing a trace
         #: from a different campaign/workload.
@@ -673,6 +686,7 @@ class FaultInjectionAlgorithms:
         self.db.replace_experiment(record)
         self.reference_trace = trace
         self._reference_record = record
+        self.reference_state = ReferenceState.of(state_vector)
         self._reference_trace_key = self._trace_cache_key(config)
         return trace
 
@@ -930,9 +944,9 @@ class FaultInjectionAlgorithms:
         executors.
 
         After each experiment ``send(row, outcome, spans, probes,
-        samples)`` receives its encoded row
-        (:meth:`ExperimentRecord.to_row
-        <repro.db.models.ExperimentRecord.to_row>`) and termination
+        samples)`` receives its complete row, classified against
+        :attr:`reference_state` (:meth:`ReferenceState.row
+        <repro.analysis.classify.ReferenceState.row>`), and termination
         outcome plus the span records, probe summaries and resource
         samples gathered with it; ``should_stop()`` is checked
         before each experiment.  ``checkpoints`` gives the shard its own
@@ -943,6 +957,7 @@ class FaultInjectionAlgorithms:
         ``profile`` table and the ``checkpoint`` cache stats.
         """
         run_experiment = self.experiment_runner(config.technique)
+        make_row = self.reference_state.row
         tele = self.telemetry
         cache = CheckpointCache(self.checkpoint_capacity) if checkpoints else None
         if cache is not None and initial is not None:
@@ -970,7 +985,7 @@ class FaultInjectionAlgorithms:
                 record = run_experiment(config, spec, trace)
                 sampler.maybe_sample()
                 send(
-                    record.to_row(),
+                    make_row(record),
                     record.state_vector["termination"]["outcome"],
                     tele.drain_spans(),
                     probes.drain() if probes is not None else None,

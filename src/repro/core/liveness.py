@@ -65,6 +65,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from ..analysis.classify import ReferenceState
 from ..db import ExperimentRecord
 from .campaign import (
     LOGGING_NORMAL,
@@ -444,8 +445,9 @@ class PrunePlan:
     to_run: list[ExperimentSpec]
     #: Names of pruned specs that are re-simulated for verification.
     spot_checks: set[str]
-    #: Synthesised rows of every pruned spec, already encoded
-    #: (:meth:`ExperimentRecord.to_row`), by experiment name.
+    #: Synthesised rows of every pruned spec, complete and classified
+    #: (:meth:`ReferenceState.row
+    #: <repro.analysis.classify.ReferenceState.row>`), by experiment name.
     rows: dict[str, tuple]
     #: Pruned specs whose synthesised final state differs from the
     #: reference's (a latent-tail flip in a captured register).
@@ -522,12 +524,15 @@ def build_prune_plan(
     reference: ExperimentRecord,
 ) -> PrunePlan:
     """Partition ``specs`` into simulated and synthesised experiments.
+    Synthesised rows are classified against ``reference`` as they are
+    made.
 
     The spot-check sample is drawn with a deterministic RNG seeded from
     the campaign seed, so the same campaign prunes and verifies the same
     experiments on every host and worker count."""
     classifier = ExperimentClassifier(config, trace, space)
     encoder = _StateEncoder(reference)
+    reference_state = ReferenceState.of(reference.state_vector)
     rng = random.Random(f"{config.seed}/prune")
     pruned: list[ExperimentSpec] = []
     to_run: list[ExperimentSpec] = []
@@ -540,7 +545,7 @@ def build_prune_plan(
             record = synthesize_record(config, spec, trace, reference)
             state = record.state_vector
             latent += state["final"] is not encoder.final
-            rows[spec.name] = record.to_row(state_json=encoder.encode(state))
+            rows[spec.name] = reference_state.row(record, encoder.encode(state))
             if rng.random() < prune_config.spot_check_rate:
                 spot_checks.add(spec.name)
                 to_run.append(spec)

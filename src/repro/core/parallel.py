@@ -17,10 +17,10 @@ streams its results back over a queue in batches: one
 ``("results", worker, [result, ...])`` message per ``BATCH_SIZE``
 finished experiments, sent early once the oldest waiting result is
 ``_POLL_SECONDS`` old, and always when the shard stops, finishes or
-fails.  A result carries the experiment's row already encoded by
-:meth:`ExperimentRecord.to_row <repro.db.models.ExperimentRecord.to_row>`,
-so the coordinator writes it as it came and never decodes or re-encodes
-it.
+fails.  A result carries the experiment's row already encoded and
+classified by :meth:`ReferenceState.row
+<repro.analysis.classify.ReferenceState.row>`, so the coordinator writes
+it as it came and never decodes, re-encodes or classifies it.
 
 Design rules:
 
@@ -96,7 +96,7 @@ def _worker_main(
 
     * ``("results", worker_id, [result, ...])``: a batch of finished
       experiments in shard order, each ``(row, outcome, spans, probes,
-      samples)`` — the experiment's encoded ``LoggedSystemState`` row
+      samples)`` — the experiment's classified ``LoggedSystemState`` row
       and termination outcome plus the span records, probe summaries
       and resource samples gathered with it.  A batch is sent when
       ``BATCH_SIZE`` results wait, when the oldest has waited
@@ -116,7 +116,8 @@ def _worker_main(
     (never a file or database sink — persistence stays with the
     single-writer coordinator) and attaches the coordinator's one-time
     shared-state publication (``shared_descriptor``, a shared segment or
-    its inline serialising fallback): the reference trace, the golden
+    its inline serialising fallback): the reference trace, the reference
+    state each row is classified against where it is made, the golden
     probe snapshots (read zero-copy), and, under ``checkpoints``, the
     armed cycle-0 image that pre-seeds the shard's checkpoint cache.
     Snapshots hold live target references and never cross the process
@@ -165,6 +166,7 @@ def _worker_main(
             shared_view = sharedstate.SharedStateView.attach(shared_descriptor)
             meta = shared_view.meta
             trace = ReferenceTrace.from_payload(meta["trace"])
+            algorithms.reference_state = meta["reference"]
             golden = None
             probes = meta["probes"]
             if probes is not None:
@@ -228,10 +230,16 @@ class ProcessExecutor:
         bus = algorithms.events
         progress = algorithms.progress
         # Everything a worker needs on startup, derived exactly once:
-        # the reference trace, the golden probe snapshots (chain images
+        # the reference trace, the reference state the worker classifies
+        # its rows against, the golden probe snapshots (chain images
         # as packed buffers), and — under checkpointing — the armed
         # fault-free initial image that seeds each worker's cache.
-        meta: dict = {"trace": trace.to_payload(), "probes": None, "initial": None}
+        meta: dict = {
+            "trace": trace.to_payload(),
+            "reference": algorithms.reference_state,
+            "probes": None,
+            "initial": None,
+        }
         buffers: dict[str, bytes] = {}
         if golden is not None:
             golden_meta, buffers = golden.to_shared()

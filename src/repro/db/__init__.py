@@ -2,12 +2,13 @@
 (``TargetSystemData``, ``CampaignData``, ``LoggedSystemState``) plus
 the v2 telemetry tables (``CampaignTelemetry``, ``ExperimentSpan``),
 the v3 propagation-probe table (``PropagationProbe``), the v5
-cross-run history table (``CampaignHistory``), and the v6 resource
-accounting table (``ResourceSample``)."""
+cross-run history table (``CampaignHistory``), the v6 resource
+accounting table (``ResourceSample``), and the v7 analysis columns."""
 
 from .database import DatabaseError, GoofiDatabase
 from .models import (
     CampaignRecord,
+    ExperimentFacts,
     ExperimentRecord,
     HistoryRecord,
     ProbeRecord,
@@ -21,6 +22,7 @@ from .schema import REFERENCE_EXPERIMENT, SCHEMA_VERSION, reference_name
 __all__ = [
     "CampaignRecord",
     "DatabaseError",
+    "ExperimentFacts",
     "ExperimentRecord",
     "GoofiDatabase",
     "HistoryRecord",

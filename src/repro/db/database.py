@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import logging
 import sqlite3
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
 from .models import (
     CampaignRecord,
+    ExperimentFacts,
     ExperimentRecord,
     HistoryRecord,
     ProbeRecord,
@@ -24,13 +25,69 @@ from .models import (
     SpanRecord,
     TargetSystemRecord,
 )
-from .schema import CREATE_TABLES, MIGRATIONS, SCHEMA_VERSION
+from .schema import (
+    CREATE_TABLES,
+    MIGRATIONS,
+    REFILL_VERDICTS,
+    SCHEMA_VERSION,
+    reference_name,
+)
 
 logger = logging.getLogger(__name__)
+
+#: The ``LoggedSystemState`` columns of :meth:`ExperimentRecord.to_row`
+#: and :meth:`ExperimentRecord.from_row`, in their order.
+_PAYLOAD_NAMES = (
+    "experimentName", "parentExperiment", "campaignName", "experimentData",
+    "stateVector", "createdAt", "pruned",
+)
+#: The analysis columns, in the order of
+#: :func:`repro.analysis.classify.verdict_columns`.
+_VERDICT_NAMES = (
+    "category", "mechanism", "escapeKind", "outcome", "terminationCycle",
+    "faultElement", "faultCycle",
+)
+_PAYLOAD_COLUMNS = ", ".join(_PAYLOAD_NAMES)
+_VERDICT_COLUMNS = ", ".join(_VERDICT_NAMES)
+_UPDATE_VERDICT_SQL = (
+    "UPDATE LoggedSystemState SET "
+    + ", ".join(f"{name} = ?" for name in _VERDICT_NAMES)
+    + " WHERE rowid = ?"
+)
 
 
 class DatabaseError(Exception):
     """A constraint or usage error at the database layer."""
+
+
+def _is_reference(record: ExperimentRecord) -> bool:
+    """Whether ``record`` is its campaign's fault-free reference row."""
+    return record.experiment_name == reference_name(record.campaign_name)
+
+
+#: ``factory(reference, lenient) -> columns``: makes the function that
+#: gives a record its analysis columns against ``reference``, the
+#: campaign's stored reference state vector (``None`` when none is
+#: stored).  With ``lenient``, a row the classifier refuses gets empty
+#: columns instead of an error.  The analysis layer installs its
+#: classifier here when it is imported (:mod:`repro.analysis.classify`):
+#: this layer classifies rows without importing the layers above it.
+_row_classifier: Callable | None = None
+
+
+def install_row_classifier(factory: Callable) -> None:
+    """Install the classifier the database runs on the rows it
+    classifies itself: its single-row writes and its migration fill."""
+    global _row_classifier
+    _row_classifier = factory
+
+
+def _classifier(reference: dict | None, lenient: bool = False) -> Callable:
+    if _row_classifier is None:
+        raise DatabaseError(
+            "no row classifier installed; import repro.analysis to install one"
+        )
+    return _row_classifier(reference, lenient)
 
 
 class GoofiDatabase:
@@ -45,18 +102,35 @@ class GoofiDatabase:
     def __init__(self, path: str | Path = ":memory:") -> None:
         self.path = str(path)
         self._conn = sqlite3.connect(self.path)
+        try:
+            self._open()
+        except BaseException:
+            self._conn.close()
+            raise
+
+    def _open(self) -> None:
         self._conn.execute("PRAGMA foreign_keys = ON")
         # Write-ahead logging: campaign flushes commit without waiting
         # for the rollback journal's double write, and analysis readers
         # don't block the coordinator.  A no-op for ':memory:'
         # databases, which simply stay in their default journal mode.
         self._conn.execute("PRAGMA journal_mode = WAL")
-        self._conn.executescript(CREATE_TABLES)
-        cur = self._conn.execute("SELECT version FROM SchemaInfo")
-        row = cur.fetchone()
+        stored = self._conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'SchemaInfo'"
+        ).fetchone()
+        row = (
+            self._conn.execute("SELECT version FROM SchemaInfo").fetchone()
+            if stored
+            else None
+        )
         if row is None:
-            self._conn.execute("INSERT INTO SchemaInfo (version) VALUES (?)", (SCHEMA_VERSION,))
-            self._conn.commit()
+            # A new database: every table at the current version.  An
+            # older one gets its tables from the migration steps, which
+            # expect the shape of the version they start from.
+            with self._step(CREATE_TABLES):
+                self._conn.execute(
+                    "INSERT INTO SchemaInfo (version) VALUES (?)", (SCHEMA_VERSION,)
+                )
         elif row[0] < SCHEMA_VERSION:
             self._migrate(int(row[0]))
         elif row[0] != SCHEMA_VERSION:
@@ -64,25 +138,87 @@ class GoofiDatabase:
                 f"database schema version {row[0]} != supported {SCHEMA_VERSION}"
             )
 
+    @contextmanager
+    def _step(self, script: str) -> Iterator[None]:
+        """Run ``script`` and the body of the ``with`` block in one
+        transaction: all of it takes effect, or (on any exception) none
+        of it does.  ``executescript`` commits a pending transaction and
+        leaves transaction control to the script, so the script opens
+        the transaction itself and the commit follows the block."""
+        try:
+            self._conn.executescript("BEGIN;\n" + script)
+            yield
+            self._conn.commit()
+        except BaseException:
+            self._conn.rollback()
+            raise
+
     def _migrate(self, from_version: int) -> None:
         """Upgrade an older database in place, one version at a time.
-        Migrations are additive, so existing rows are untouched."""
-        version = from_version
-        while version < SCHEMA_VERSION:
+
+        Each step — its script, the verdict fill of a
+        :data:`~repro.db.schema.REFILL_VERDICTS` step, and the version
+        bump — is one transaction, so an interrupted migration leaves the
+        database at the last completed step and the next open carries
+        on from there."""
+        for version in range(from_version, SCHEMA_VERSION):
             script = MIGRATIONS.get(version)
             if script is None:
                 raise DatabaseError(
                     f"no migration path from schema version {version} "
                     f"to {SCHEMA_VERSION}"
                 )
-            self._conn.executescript(script)
-            version += 1
-            self._conn.execute("UPDATE SchemaInfo SET version = ?", (version,))
-            self._conn.commit()
+            with self._step(script):
+                if version in REFILL_VERDICTS:
+                    self._fill_verdicts()
+                self._conn.execute("UPDATE SchemaInfo SET version = ?", (version + 1,))
             logger.info(
                 "migrated %s from schema version %d to %d",
-                self.path, version - 1, version,
+                self.path, version, version + 1,
             )
+
+    def _fill_verdicts(self, campaign_name: str | None = None) -> None:
+        """Classify stored experiment rows and write their analysis
+        columns: every row of ``campaign_name``, or of the whole
+        database.  Runs inside the caller's transaction.
+
+        This is the classifier the engine runs where it makes a row
+        (:func:`install_row_classifier`), applied to rows already
+        stored.  A campaign without a stored reference keeps empty
+        columns until its reference arrives.  A row the classifier
+        refuses (a malformed state vector) is left with empty columns
+        and a warning, so the database still opens;
+        :func:`~repro.analysis.classify.classify_campaign` then names
+        it."""
+        if campaign_name is None:
+            campaigns = [
+                name
+                for (name,) in self._conn.execute(
+                    "SELECT DISTINCT campaignName FROM LoggedSystemState"
+                )
+            ]
+        else:
+            campaigns = [campaign_name]
+        for campaign in campaigns:
+            columns = _classifier(self._stored_reference(campaign), lenient=True)
+            last = -1
+            while True:
+                # Keyset pages keep the memory of a large fill bounded.
+                page = self._conn.execute(
+                    f"SELECT rowid, {_PAYLOAD_COLUMNS} FROM LoggedSystemState "
+                    "WHERE campaignName = ? AND rowid > ? ORDER BY rowid LIMIT 256",
+                    (campaign, last),
+                ).fetchall()
+                if not page:
+                    break
+                self._conn.executemany(
+                    _UPDATE_VERDICT_SQL,
+                    [
+                        (*columns(ExperimentRecord.from_row(row)), rowid)
+                        for rowid, *row in page
+                    ],
+                )
+                last = page[-1][0]
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -202,9 +338,14 @@ class GoofiDatabase:
     # LoggedSystemState
     # ------------------------------------------------------------------
     def save_experiment(self, record: ExperimentRecord) -> None:
+        """Insert one experiment row, classified against its campaign's
+        stored reference (see :meth:`_classified_row`)."""
         try:
             with self.transaction() as conn:
-                self._insert_experiment(conn, record)
+                conn.execute(self._INSERT_EXPERIMENT_SQL, self._classified_row(record))
+                if _is_reference(record):
+                    # Rows stored before their reference get their verdicts.
+                    self._fill_verdicts(record.campaign_name)
         except sqlite3.IntegrityError as exc:
             raise DatabaseError(
                 f"experiment {record.experiment_name!r} violates a constraint "
@@ -212,50 +353,67 @@ class GoofiDatabase:
             ) from exc
 
     _INSERT_EXPERIMENT_SQL = (
-        "INSERT INTO LoggedSystemState "
-        "(experimentName, parentExperiment, campaignName, experimentData, "
-        " stateVector, createdAt, pruned) VALUES (?, ?, ?, ?, ?, ?, ?)"
+        f"INSERT INTO LoggedSystemState ({_PAYLOAD_COLUMNS}, {_VERDICT_COLUMNS}) "
+        f"VALUES ({', '.join(['?'] * (len(_PAYLOAD_NAMES) + len(_VERDICT_NAMES)))})"
     )
 
-    def save_experiments(self, records: list[ExperimentRecord]) -> None:
-        """Batch insert of records (see :meth:`save_experiment_rows`)."""
-        self.save_experiment_rows([record.to_row() for record in records])
-
     def save_experiment_rows(self, rows: list[tuple]) -> None:
-        """Batch insert of rows already encoded by
-        :meth:`ExperimentRecord.to_row` — one ``executemany`` in one
-        transaction for a whole campaign chunk, so a flush pays a single
-        statement-prepare and a single commit regardless of batch
-        size."""
+        """Batch insert of complete rows, made by
+        :meth:`ReferenceState.row <repro.analysis.classify.ReferenceState.row>`
+        (the payload columns and the analysis columns) — one
+        ``executemany`` in one transaction for a whole campaign chunk, so
+        a flush pays a single statement-prepare and a single commit
+        regardless of batch size."""
         try:
             with self.transaction() as conn:
                 conn.executemany(self._INSERT_EXPERIMENT_SQL, rows)
         except sqlite3.IntegrityError as exc:
             raise DatabaseError(f"batch experiment insert failed: {exc}") from exc
 
-    @classmethod
-    def _insert_experiment(cls, conn: sqlite3.Connection, record: ExperimentRecord) -> None:
-        conn.execute(cls._INSERT_EXPERIMENT_SQL, record.to_row())
+    def _classified_row(self, record: ExperimentRecord) -> tuple:
+        """``record``'s complete row, classified against the stored
+        reference of its campaign.  A reference row, and a row whose
+        reference is not stored yet, get empty verdict columns (the
+        latter are filled when the reference arrives).  The classifier's
+        error for a row it refuses propagates: a malformed row is never
+        stored."""
+        reference = (
+            None if _is_reference(record) else self._stored_reference(record.campaign_name)
+        )
+        return record.to_row() + _classifier(reference)(record)
+
+    def _stored_reference(self, campaign_name: str) -> dict | None:
+        """The state vector of the campaign's stored reference row, or
+        ``None`` when none is stored."""
+        stored = self._conn.execute(
+            "SELECT stateVector FROM LoggedSystemState WHERE experimentName = ?",
+            (reference_name(campaign_name),),
+        ).fetchone()
+        return None if stored is None else json.loads(stored[0])
 
     def replace_experiment(self, record: ExperimentRecord) -> None:
-        """Insert or overwrite one experiment row.  Used for rows with
-        well-known names that are regenerated on re-runs (the campaign
-        reference run)."""
+        """Insert or overwrite one experiment row, classified like
+        :meth:`save_experiment`.  Used for rows with well-known names
+        that are regenerated on re-runs (the campaign reference run).  A
+        reference whose state changes reclassifies its campaign's rows."""
         try:
             with self.transaction() as conn:
+                row = self._classified_row(record)
+                refill = _is_reference(record) and conn.execute(
+                    "SELECT stateVector FROM LoggedSystemState WHERE experimentName = ?",
+                    (record.experiment_name,),
+                ).fetchone() != (row[ExperimentRecord.ROW_STATE],)
                 conn.execute(
-                    "INSERT INTO LoggedSystemState "
-                    "(experimentName, parentExperiment, campaignName, experimentData, "
-                    " stateVector, createdAt, pruned) VALUES (?, ?, ?, ?, ?, ?, ?) "
-                    "ON CONFLICT (experimentName) DO UPDATE SET "
-                    "parentExperiment = excluded.parentExperiment, "
-                    "campaignName = excluded.campaignName, "
-                    "experimentData = excluded.experimentData, "
-                    "stateVector = excluded.stateVector, "
-                    "createdAt = excluded.createdAt, "
-                    "pruned = excluded.pruned",
-                    record.to_row(),
+                    self._INSERT_EXPERIMENT_SQL
+                    + " ON CONFLICT (experimentName) DO UPDATE SET "
+                    + ", ".join(
+                        f"{name} = excluded.{name}"
+                        for name in (*_PAYLOAD_NAMES[1:], *_VERDICT_NAMES)
+                    ),
+                    row,
                 )
+                if refill:
+                    self._fill_verdicts(record.campaign_name)
         except sqlite3.IntegrityError as exc:
             raise DatabaseError(
                 f"experiment {record.experiment_name!r} violates a constraint: {exc}"
@@ -290,8 +448,7 @@ class GoofiDatabase:
 
     def load_experiment(self, experiment_name: str) -> ExperimentRecord:
         cur = self._conn.execute(
-            "SELECT experimentName, parentExperiment, campaignName, experimentData, "
-            "stateVector, createdAt, pruned FROM LoggedSystemState WHERE experimentName = ?",
+            f"SELECT {_PAYLOAD_COLUMNS} FROM LoggedSystemState WHERE experimentName = ?",
             (experiment_name,),
         )
         row = cur.fetchone()
@@ -303,13 +460,48 @@ class GoofiDatabase:
         """Stream every logged experiment of a campaign, in insertion
         order (analysis-phase workhorse)."""
         cur = self._conn.execute(
-            "SELECT experimentName, parentExperiment, campaignName, experimentData, "
-            "stateVector, createdAt, pruned FROM LoggedSystemState WHERE campaignName = ? "
+            f"SELECT {_PAYLOAD_COLUMNS} FROM LoggedSystemState WHERE campaignName = ? "
             "ORDER BY rowid",
             (campaign_name,),
         )
         for row in cur:
             yield ExperimentRecord.from_row(row)
+
+    def verdict_rows(self, campaign_name: str) -> list[tuple]:
+        """The analysis columns of a campaign's experiments, its
+        reference row left out, in insertion order: one
+        ``(experimentName, category, mechanism, escapeKind, outcome,
+        terminationCycle, faultElement, faultCycle)`` tuple per row,
+        read without decoding any JSON."""
+        return self._conn.execute(
+            f"SELECT experimentName, {_VERDICT_COLUMNS} FROM LoggedSystemState "
+            "WHERE campaignName = ? AND experimentName != ? ORDER BY rowid",
+            (campaign_name, reference_name(campaign_name)),
+        ).fetchall()
+
+    def iter_experiment_facts(
+        self, campaign_name: str, category: str | None = None
+    ) -> Iterator[ExperimentFacts]:
+        """The decoded ``experimentData`` and termination record of a
+        campaign's classified rows (of one ``category``, if given), in
+        insertion order — for the readers that need more of a row than
+        its analysis columns.  SQLite extracts the termination record,
+        so the rest of the state vector is never decoded here."""
+        sql = (
+            "SELECT experimentName, experimentData, "
+            "json_extract(stateVector, '$.termination') FROM LoggedSystemState "
+            "WHERE campaignName = ? AND category IS NOT NULL"
+        )
+        params: tuple = (campaign_name,)
+        if category is not None:
+            sql += " AND category = ?"
+            params = (campaign_name, category)
+        for name, data_json, termination_json in self._conn.execute(
+            sql + " ORDER BY rowid", params
+        ):
+            yield ExperimentFacts(
+                name, json.loads(data_json), json.loads(termination_json or "{}")
+            )
 
     def count_experiments(self, campaign_name: str) -> int:
         cur = self._conn.execute(
@@ -323,9 +515,8 @@ class GoofiDatabase:
         investigations tracking their parent, per the paper's E1/E2
         example)."""
         cur = self._conn.execute(
-            "SELECT experimentName, parentExperiment, campaignName, experimentData, "
-            "stateVector, createdAt, pruned FROM LoggedSystemState WHERE parentExperiment = ? "
-            "ORDER BY rowid",
+            f"SELECT {_PAYLOAD_COLUMNS} FROM LoggedSystemState "
+            "WHERE parentExperiment = ? ORDER BY rowid",
             (experiment_name,),
         )
         return [ExperimentRecord.from_row(row) for row in cur.fetchall()]
@@ -405,25 +596,38 @@ class GoofiDatabase:
             with self.transaction() as conn:
                 conn.executemany(
                     "INSERT INTO ExperimentSpan "
-                    "(experimentName, campaignName, spanJson, createdAt) "
-                    "VALUES (?, ?, ?, ?) "
+                    "(experimentName, campaignName, spanJson, createdAt, durationSeconds) "
+                    "VALUES (?, ?, ?, ?, ?) "
                     "ON CONFLICT (experimentName) DO UPDATE SET "
                     "campaignName = excluded.campaignName, "
                     "spanJson = excluded.spanJson, "
-                    "createdAt = excluded.createdAt",
+                    "createdAt = excluded.createdAt, "
+                    "durationSeconds = excluded.durationSeconds",
                     rows,
                 )
         except sqlite3.IntegrityError as exc:
             raise DatabaseError(f"batch span insert failed: {exc}") from exc
 
+    _SPAN_COLUMNS = "experimentName, campaignName, spanJson, createdAt"
+
     def iter_spans(self, campaign_name: str) -> Iterator[SpanRecord]:
         cur = self._conn.execute(
-            "SELECT experimentName, campaignName, spanJson, createdAt "
+            f"SELECT {self._SPAN_COLUMNS} "
             "FROM ExperimentSpan WHERE campaignName = ? ORDER BY rowid",
             (campaign_name,),
         )
         for row in cur:
             yield SpanRecord.from_row(row)
+
+    def slowest_spans(self, campaign_name: str, limit: int) -> list[SpanRecord]:
+        """The campaign's ``limit`` longest spans, longest first; equal
+        durations keep insertion order.  Only these spans are decoded."""
+        cur = self._conn.execute(
+            f"SELECT {self._SPAN_COLUMNS} FROM ExperimentSpan WHERE campaignName = ? "
+            "ORDER BY durationSeconds DESC, rowid LIMIT ?",
+            (campaign_name, limit),
+        )
+        return [SpanRecord.from_row(row) for row in cur]
 
     def count_spans(self, campaign_name: str) -> int:
         cur = self._conn.execute(

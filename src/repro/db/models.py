@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 
 def utc_now() -> str:
@@ -105,6 +106,10 @@ class ExperimentRecord:
     its own column — not inside the JSON payloads — so a pruned row's
     ``experiment_data``/``state_vector`` stay byte-identical to what a
     full simulation would have logged.
+
+    :meth:`to_row` encodes these fields only.  A stored row also carries
+    its analysis columns, which the classifier appends
+    (:meth:`repro.analysis.classify.ReferenceState.row`).
     """
 
     experiment_name: str
@@ -152,6 +157,16 @@ class ExperimentRecord:
             created_at=created,
             pruned=bool(pruned),
         )
+
+
+class ExperimentFacts(NamedTuple):
+    """The decoded parts of a ``LoggedSystemState`` row that readers
+    beyond the analysis columns need: its ``experimentData`` and its
+    state vector's termination record (outcome, cycle, detection)."""
+
+    experiment_name: str
+    experiment_data: dict
+    termination: dict
 
 
 @dataclass(slots=True)
@@ -273,6 +288,7 @@ class SpanRecord:
             self.campaign_name,
             encode_span(self.span),
             self.created_at,
+            self.span.get("duration_seconds", 0.0),
         )
 
     @classmethod

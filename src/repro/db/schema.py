@@ -68,14 +68,28 @@ Version 6 adds the resource-accounting table:
   one JSON sample each; read back by the ``goofi stats`` Resources
   section and the worker-timeline charts of ``goofi report``.
 
-Opening an older database migrates it in place: migrations are additive
-(``CREATE TABLE IF NOT EXISTS`` / ``ALTER TABLE ... ADD COLUMN`` with a
-default), so older data is untouched and keeps its meaning.
+Version 7 adds the analysis columns.  Each ``LoggedSystemState`` row
+carries its classification (§3.4), made once, where the row is made
+(:meth:`repro.analysis.classify.ReferenceState.row`): ``category``,
+``mechanism`` and ``escapeKind``, the termination ``outcome`` and
+``terminationCycle``, and the first fault's ``faultElement`` (its
+element key) and ``faultCycle`` (its injection cycle).  The campaign's
+reference row leaves the three verdict columns ``NULL``.  Each
+``ExperimentSpan`` row carries its ``durationSeconds``.  The analysis
+phase reads these columns instead of decoding the JSON payloads.
+
+Opening an older database migrates it in place, one step per version.
+Each step is one transaction: its script, its Python fill (the step to
+version 7 fills the analysis columns of existing rows with the same
+classifier; see :data:`REFILL_VERDICTS`) and the version bump commit
+together or not at all.  Migrations are additive (``CREATE TABLE IF
+NOT EXISTS`` / ``ALTER TABLE ... ADD COLUMN``), so older data keeps its
+meaning.
 """
 
 from __future__ import annotations
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 CREATE_TABLES = """
 CREATE TABLE IF NOT EXISTS SchemaInfo (
@@ -106,7 +120,14 @@ CREATE TABLE IF NOT EXISTS LoggedSystemState (
     experimentData   TEXT NOT NULL,
     stateVector      TEXT NOT NULL,
     createdAt        TEXT NOT NULL,
-    pruned           INTEGER NOT NULL DEFAULT 0
+    pruned           INTEGER NOT NULL DEFAULT 0,
+    category         TEXT,
+    mechanism        TEXT,
+    escapeKind       TEXT,
+    outcome          TEXT,
+    terminationCycle INTEGER,
+    faultElement     TEXT,
+    faultCycle       INTEGER
 );
 
 CREATE INDEX IF NOT EXISTS idx_logged_campaign
@@ -121,10 +142,11 @@ CREATE TABLE IF NOT EXISTS CampaignTelemetry (
 );
 
 CREATE TABLE IF NOT EXISTS ExperimentSpan (
-    experimentName TEXT PRIMARY KEY,
-    campaignName   TEXT NOT NULL REFERENCES CampaignData(campaignName),
-    spanJson       TEXT NOT NULL,
-    createdAt      TEXT NOT NULL
+    experimentName  TEXT PRIMARY KEY,
+    campaignName    TEXT NOT NULL REFERENCES CampaignData(campaignName),
+    spanJson        TEXT NOT NULL,
+    createdAt       TEXT NOT NULL,
+    durationSeconds REAL NOT NULL DEFAULT 0
 );
 
 CREATE INDEX IF NOT EXISTS idx_span_campaign
@@ -165,8 +187,9 @@ CREATE INDEX IF NOT EXISTS idx_resource_campaign
 
 #: Stepwise in-place migrations: ``MIGRATIONS[n]`` upgrades a version-n
 #: database to version n+1.  Each script must be additive (old rows
-#: keep their meaning) — the version bump itself is handled by
-#: :class:`repro.db.database.GoofiDatabase`.
+#: keep their meaning) and must not hold transaction statements:
+#: :class:`repro.db.database.GoofiDatabase` runs it, the step's fill and
+#: the version bump in one transaction.
 MIGRATIONS: dict[int, str] = {
     1: """
 CREATE TABLE IF NOT EXISTS CampaignTelemetry (
@@ -223,7 +246,26 @@ CREATE TABLE IF NOT EXISTS ResourceSample (
 CREATE INDEX IF NOT EXISTS idx_resource_campaign
     ON ResourceSample(campaignName);
 """,
+    6: """
+ALTER TABLE LoggedSystemState ADD COLUMN category TEXT;
+ALTER TABLE LoggedSystemState ADD COLUMN mechanism TEXT;
+ALTER TABLE LoggedSystemState ADD COLUMN escapeKind TEXT;
+ALTER TABLE LoggedSystemState ADD COLUMN outcome TEXT;
+ALTER TABLE LoggedSystemState ADD COLUMN terminationCycle INTEGER;
+ALTER TABLE LoggedSystemState ADD COLUMN faultElement TEXT;
+ALTER TABLE LoggedSystemState ADD COLUMN faultCycle INTEGER;
+ALTER TABLE ExperimentSpan ADD COLUMN durationSeconds REAL NOT NULL DEFAULT 0;
+UPDATE ExperimentSpan
+   SET durationSeconds = COALESCE(json_extract(spanJson, '$.duration_seconds'), 0);
+""",
 }
+
+#: Migration steps that, after their script, fill the analysis columns
+#: of every existing ``LoggedSystemState`` row with the classifier.  A
+#: change to the classifier ships as a new step listed here (an empty
+#: script is fine), so every database is reclassified exactly when it
+#: is migrated past that change.
+REFILL_VERDICTS = frozenset({6})
 
 #: Name of the fault-free reference experiment within every campaign.
 REFERENCE_EXPERIMENT = "__reference__"

@@ -118,7 +118,19 @@ class GoofiSession:
         )
 
     def setup_campaign(self, config: CampaignConfig) -> None:
-        """Store a campaign configuration (``CampaignData`` row)."""
+        """Store a campaign configuration (``CampaignData`` row), once its
+        location patterns resolve on its target with its workload
+        loaded: a pattern that matches nothing raises
+        :class:`~repro.core.errors.ConfigurationError` here, before
+        anything is stored, not when the campaign first runs."""
+        target = (
+            self.target
+            if config.target == self.target.target_name
+            else create_target(config.target)
+        )
+        target.init_test_card()
+        target.load_workload(config.workload)
+        target.location_space().select(list(config.location_patterns))
         store_campaign(self.db, config)
 
     def merge_into_campaign(self, names: list[str], new_name: str) -> CampaignConfig:

@@ -81,3 +81,25 @@ out: .word 0
 @pytest.fixture
 def tiny_program():
     return assemble(TINY_SOURCE)
+
+
+#: The columns schema version 7 added, by table.
+V7_COLUMNS = {
+    "LoggedSystemState": (
+        "category", "mechanism", "escapeKind", "outcome", "terminationCycle",
+        "faultElement", "faultCycle",
+    ),
+    "ExperimentSpan": ("durationSeconds",),
+}
+
+
+def drop_v7_columns(conn) -> None:
+    """Rewind a database's schema-7 additions (the analysis columns), the
+    first step of rewinding a file to any older schema version."""
+    tables = {
+        row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+    }
+    for table, columns in V7_COLUMNS.items():
+        if table in tables:
+            for column in columns:
+                conn.execute(f"ALTER TABLE {table} DROP COLUMN {column}")

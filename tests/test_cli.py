@@ -115,6 +115,22 @@ class TestCampaignLifecycle:
         ) == 0
         assert "16 experiments" in capsys.readouterr().out
 
+    def test_campaign_merge_on_second_target(self, db_path, capsys):
+        """``campaign merge`` opens the default target, so the merged
+        thor-sm campaign's locations resolve on its own target."""
+        for name in ("a", "b"):
+            assert run_cli(
+                "campaign", "create", "--db", db_path, "--name", name,
+                "--target", "thor-sm", "--workload", "s_checksum",
+                "--locations", "internal:ctrl.*", "--experiments", "4",
+            ) == 0
+        assert run_cli(
+            "campaign", "merge", "--db", db_path, "--names", "a,b", "--new-name", "ab"
+        ) == 0
+        assert "8 experiments" in capsys.readouterr().out
+        with GoofiDatabase(db_path) as db:
+            assert db.load_campaign("ab").target_name == "thor-sm"
+
     def test_rerun_detail(self, db_path, capsys):
         self.create(db_path)
         run_cli("run", "--db", db_path, "c1", "--quiet")
@@ -247,9 +263,26 @@ class TestErrors:
         assert "error" in capsys.readouterr().err
 
     def test_bad_locations_return_error(self, db_path, capsys):
+        """Location patterns resolve at set-up: one that matches nothing
+        fails ``campaign create``, and nothing is stored."""
         assert run_cli(
             "campaign", "create", "--db", db_path, "--name", "bad",
             "--workload", "fibonacci", "--locations", "internal:fpu.*",
-        ) == 0  # stored without validation...
-        assert run_cli("run", "--db", db_path, "bad", "--quiet") == 1
+        ) == 1
         assert "matched nothing" in capsys.readouterr().err
+        with GoofiDatabase(db_path) as db:
+            assert db.list_campaigns() == []
+
+    def test_default_locations_refused_on_thor_sm(self, db_path, capsys):
+        """The default ``--locations internal:regs.*`` names thor-rd's
+        register file; thor-sm has none, so the create fails up front
+        instead of storing a campaign that cannot run."""
+        assert run_cli(
+            "campaign", "create", "--db", db_path, "--name", "sm",
+            "--target", "thor-sm", "--workload", "s_checksum",
+        ) == 1
+        assert "location pattern 'internal:regs.*' matched nothing" in (
+            capsys.readouterr().err
+        )
+        with GoofiDatabase(db_path) as db:
+            assert db.list_campaigns() == []

@@ -6,6 +6,8 @@ import sqlite3
 
 import pytest
 
+from tests.conftest import drop_v7_columns
+from repro.analysis.classify import verdict_columns
 from repro.db import (
     SCHEMA_VERSION,
     CampaignRecord,
@@ -35,6 +37,12 @@ def seed_campaign(db: GoofiDatabase, name: str = "c1", target: str = "thor") -> 
     record = CampaignRecord(campaign_name=name, target_name=target, config={"n": 10})
     db.save_campaign(record)
     return record
+
+
+def rows_of(records: list[ExperimentRecord]) -> list[tuple]:
+    """Complete rows for :meth:`GoofiDatabase.save_experiment_rows`.  The
+    campaigns here store no reference, so the rows carry no verdict."""
+    return [record.to_row() + verdict_columns(record, None) for record in records]
 
 
 def make_experiment(name: str, campaign: str = "c1", parent: str | None = None) -> ExperimentRecord:
@@ -144,7 +152,7 @@ class TestExperiments:
     def test_batch_insert_and_count(self, db):
         seed_target(db)
         seed_campaign(db)
-        db.save_experiments([make_experiment(f"c1/exp{i}") for i in range(10)])
+        db.save_experiment_rows(rows_of([make_experiment(f"c1/exp{i}") for i in range(10)]))
         assert db.count_experiments("c1") == 10
 
     def test_batch_insert_is_atomic(self, db):
@@ -153,7 +161,7 @@ class TestExperiments:
         db.save_experiment(make_experiment("c1/exp0"))
         batch = [make_experiment("c1/exp1"), make_experiment("c1/exp0")]  # dup
         with pytest.raises(DatabaseError):
-            db.save_experiments(batch)
+            db.save_experiment_rows(rows_of(batch))
         assert db.count_experiments("c1") == 1  # exp1 rolled back
 
     def test_iter_preserves_insertion_order(self, db):
@@ -230,6 +238,7 @@ class TestPersistence:
             db.save_experiment(make_experiment("c1/exp0"))
         # Rewind the file to the v3 shape.
         conn = sqlite3.connect(path)
+        drop_v7_columns(conn)
         conn.execute("ALTER TABLE LoggedSystemState DROP COLUMN pruned")
         conn.execute("UPDATE SchemaInfo SET version = 3")
         conn.commit()
@@ -263,6 +272,7 @@ class TestPersistence:
         # Rewind the file to the v1 shape: drop everything the
         # migrations added, newest addition first.
         conn = sqlite3.connect(path)
+        drop_v7_columns(conn)
         for table in (
             "ResourceSample",     # v6
             "CampaignHistory",    # v5
@@ -346,7 +356,7 @@ class TestReplaceAndBulkDelete:
     def test_delete_campaign_experiments_keeps_campaign_row(self, db):
         seed_target(db)
         seed_campaign(db)
-        db.save_experiments([make_experiment(f"c1/e{i}") for i in range(4)])
+        db.save_experiment_rows(rows_of([make_experiment(f"c1/e{i}") for i in range(4)]))
         removed = db.delete_campaign_experiments("c1")
         assert removed == 4
         assert db.count_experiments("c1") == 0

@@ -8,6 +8,7 @@ import pytest
 
 from tests.conftest import make_campaign
 from repro.analysis import classify_campaign, detection_latencies, format_latency_report
+from repro.analysis.classify import ReferenceState
 from repro.analysis.latency import (
     LatencySample,
     LatencyStatistics,
@@ -99,7 +100,9 @@ class TestSkippedRecords:
                 "final": {"scan": {}, "memory": {}},
             },
         )
-        db.save_experiments([reference, *records])
+        db.replace_experiment(reference)
+        state = ReferenceState.of(reference.state_vector)
+        db.save_experiment_rows([state.row(record) for record in records])
         return db
 
     def test_skipped_counted_not_sampled(self):

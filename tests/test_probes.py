@@ -11,7 +11,7 @@ import sqlite3
 
 import pytest
 
-from tests.conftest import make_campaign
+from tests.conftest import drop_v7_columns, make_campaign
 from repro import GoofiSession
 from repro.core import CampaignConfig, DEFAULT_PROBE_PERIOD
 from repro.core.errors import ConfigurationError
@@ -284,6 +284,7 @@ class TestSchemaV3:
         # Rewind the file to schema v2: no probe table, no pruned
         # column, version 2.
         conn = sqlite3.connect(path)
+        drop_v7_columns(conn)
         conn.execute("DROP INDEX idx_probe_campaign")
         conn.execute("DROP TABLE PropagationProbe")
         conn.execute("ALTER TABLE LoggedSystemState DROP COLUMN pruned")
@@ -300,6 +301,7 @@ class TestSchemaV3:
             make_campaign(session, "c", num_experiments=2)
             session.run_campaign("c")
         conn = sqlite3.connect(path)
+        drop_v7_columns(conn)
         conn.execute("DROP INDEX idx_probe_campaign")
         conn.execute("DROP TABLE PropagationProbe")
         conn.execute("ALTER TABLE LoggedSystemState DROP COLUMN pruned")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import make_campaign
 from repro import GoofiSession
+from repro.analysis.classify import ReferenceState
 from repro.core import DEFAULT_SPOT_CHECK_RATE
 from repro.core.campaign import ExperimentSpec, PlannedFault
 from repro.core.errors import ConfigurationError
@@ -296,7 +297,8 @@ class TestLatentTail:
 
     def test_plan_rows_encode_like_to_row(self, inputs):
         """The prune plan encodes each row from the reference's shared
-        encoding; the bytes equal a plain :meth:`ExperimentRecord.to_row`."""
+        encoding; the bytes equal a plain :meth:`ExperimentRecord.to_row`,
+        and the row is classified like any other."""
         config, trace, space, reference = inputs
         specs = [
             ExperimentSpec(f"c/exp{i:05d}", i, faults, seed=i)
@@ -316,7 +318,9 @@ class TestLatentTail:
         assert plan.report()["latent"] == 2
         for spec in specs[:4]:
             row = plan.rows[spec.name]
-            expected = synthesize_record(config, spec, trace, reference).to_row()
+            expected = ReferenceState.of(reference.state_vector).row(
+                synthesize_record(config, spec, trace, reference)
+            )
             # Everything but the createdAt timestamp.
             assert row[:5] + row[6:] == expected[:5] + expected[6:]
         assert plan.upfront_records() == [plan.rows[s.name] for s in specs[:4]]

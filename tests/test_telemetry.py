@@ -15,7 +15,7 @@ import sqlite3
 
 import pytest
 
-from tests.conftest import make_campaign
+from tests.conftest import drop_v7_columns, make_campaign
 from repro import CampaignConfig, GoofiSession, ObservationSpec, Termination
 from repro.analysis import format_stats_report, stats_report, throughput_summary
 from repro.cli.main import main as cli_main
@@ -414,6 +414,7 @@ class TestPersistence:
         GoofiDatabase(path).close()
         # Rewind the file to the pre-telemetry v1 schema.
         connection = sqlite3.connect(path)
+        drop_v7_columns(connection)
         connection.executescript(
             """
             DROP TABLE ExperimentSpan;

@@ -13,7 +13,7 @@ import sqlite3
 
 import pytest
 
-from tests.conftest import make_campaign
+from tests.conftest import drop_v7_columns, make_campaign
 from repro.analysis import (
     evaluate_trend,
     format_history,
@@ -222,6 +222,7 @@ class TestMigration:
         path = tmp_path / "goofi.db"
         GoofiDatabase(path).close()
         conn = sqlite3.connect(path)
+        drop_v7_columns(conn)
         conn.execute("DROP TABLE CampaignHistory")
         conn.execute("DROP INDEX IF EXISTS idx_history_campaign")
         conn.execute("UPDATE SchemaInfo SET version = 4")

@@ -33,10 +33,9 @@ def thor_run(workload: str, trace: bool = False) -> tuple[int, float]:
 def stack_run(workload: str) -> tuple[int, float]:
     machine = StackMachine()
     program = s_load(workload)
-    machine.memory[: len(program.program)] = program.program
-    for offset, word in enumerate(program.data):
-        machine.memory[program.data_base + offset] = word
-    machine.reset(program.entry_point)
+    machine.load_image(0, program.program)
+    machine.load_image(program.data_base, program.data)
+    machine.reset(entry_point=program.entry_point)
     started = time.perf_counter()
     machine.run(2_000_000)
     elapsed = time.perf_counter() - started

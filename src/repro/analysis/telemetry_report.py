@@ -172,9 +172,9 @@ def format_stats_report(
 
     startup = timers.get("phase.worker_startup")
     if startup and startup.get("count"):
-        # Worker setup (attach shared state or re-derive it locally) is
-        # pure overhead of fanning out — called out explicitly so the
-        # shared-memory fast path is visible at a glance.
+        # Worker setup (building the target around the inherited
+        # start-up state) is pure overhead of fanning out — called out
+        # explicitly so it is visible at a glance.
         count = startup["count"]
         lines += ["", "Parallel workers:"]
         lines.append(

@@ -380,7 +380,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 telemetry=args.telemetry,
                 probes=args.probes,
                 prune=args.prune,
-                shared_state=args.shared_state,
                 events=bus,
                 resources=args.resources,
                 profile=args.profile,
@@ -852,16 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CHECKPOINT_CAPACITY,
         help="LRU size of the checkpoint cache (snapshots kept per "
              f"process; default: {DEFAULT_CHECKPOINT_CAPACITY})",
-    )
-    run.add_argument(
-        "--shared-state",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        dest="shared_state",
-        help="publish the reference trace, golden snapshots, and initial "
-             "image once via shared memory for parallel workers to attach "
-             "(default: on; --no-shared-state forces the serialising "
-             "fallback — logged rows are bit-identical either way)",
     )
     run.add_argument(
         "--fast",

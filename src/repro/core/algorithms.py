@@ -465,7 +465,6 @@ class FaultInjectionAlgorithms:
         telemetry=None,
         probes=None,
         prune=None,
-        shared_state: bool = True,
         events=None,
         resources=None,
         profile: bool = False,
@@ -542,13 +541,6 @@ class FaultInjectionAlgorithms:
         recorded for replay.  Events never change logged rows; emission
         happens strictly after a row is final.
 
-        ``shared_state`` (worker processes only) publishes the common
-        worker-startup state — reference trace, golden probe snapshots,
-        armed initial image — once via ``multiprocessing.shared_memory``
-        for zero-copy worker attachment; ``False`` forces the
-        serialising fallback (the same content shipped by value).  Rows
-        are bit-identical either way.
-
         ``resources`` turns on worker resource telemetry (see
         :func:`repro.core.resources.resolve_resources`: ``True``, a
         sampling period in seconds, a dict, or a ready
@@ -610,7 +602,7 @@ class FaultInjectionAlgorithms:
         self.events = bus
         try:
             return self._run_pipeline(
-                config, resume, workers, checkpoints, fast, shared_state, store
+                config, resume, workers, checkpoints, fast, store
             )
         finally:
             bus.sinks.remove(store)
@@ -710,7 +702,6 @@ class FaultInjectionAlgorithms:
         workers: int,
         checkpoints: bool,
         fast: bool,
-        shared_state: bool,
         store: _DatabaseSink,
     ) -> CampaignResult:
         """resume → reference → plan → prune → golden → event prefix →
@@ -807,9 +798,7 @@ class FaultInjectionAlgorithms:
         if workers > 1 and remaining:
             from .parallel import ProcessExecutor
 
-            executor = ProcessExecutor(
-                self, min(workers, len(remaining)), fast, shared_state
-            )
+            executor = ProcessExecutor(self, min(workers, len(remaining)), fast)
             # Next to worker processes the coordinator's own samples
             # carry its id, the ones already taken included.
             sampler.worker = COORDINATOR_WORKER

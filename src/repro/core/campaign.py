@@ -26,7 +26,7 @@ from .faultmodels import FaultModel, TransientBitFlip, model_from_dict
 from .framework import ObservationSpec, Termination
 from .locations import KIND_MEMORY, KIND_SCAN, Location, LocationSelection, LocationSpace
 from .preinjection import LivenessAnalysis, PreInjectionFilter
-from .rng import campaign_rng, experiment_seed
+from .rng import campaign_rng, experiment_seeds
 from .triggers import (
     BranchTrigger,
     BreakpointTrigger,
@@ -296,8 +296,9 @@ class PlanGenerator:
     # ------------------------------------------------------------------
     def generate(self) -> list[ExperimentSpec]:
         rng = campaign_rng(self.config.seed)
+        seeds = experiment_seeds(self.config.seed, self.config.num_experiments)
         experiments = []
-        for index in range(self.config.num_experiments):
+        for index, seed in enumerate(seeds):
             if (
                 self.config.multiplicity_model == MULTIPLICITY_ADJACENT
                 and self.config.flips_per_experiment > 1
@@ -313,7 +314,7 @@ class PlanGenerator:
                     name=experiment_name(self.config.name, index),
                     index=index,
                     faults=faults,
-                    seed=experiment_seed(self.config.seed, index),
+                    seed=seed,
                 )
             )
         return experiments

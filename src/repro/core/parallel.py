@@ -8,9 +8,10 @@ campaign pipeline (:meth:`FaultInjectionAlgorithms.run_campaign
 usual and hands the remaining experiments to :class:`ProcessExecutor`,
 which shards them round-robin over N ``multiprocessing`` workers.  Each
 worker rebuilds its own target interface from the plugin registry
-(:func:`repro.core.plugins.create_target`), attaches the reference
-trace, golden probe snapshots and armed initial image the coordinator
-published once (:mod:`repro.core.sharedstate`), runs its shard through
+(:func:`repro.core.plugins.create_target`), takes the reference trace,
+golden probe snapshots and armed initial image the coordinator derived
+once as plain ``Process`` arguments (inherited under ``fork``, one
+pickle per worker under ``spawn``), runs its shard through
 the same experiment loop as the in-process executor
 (:meth:`~repro.core.algorithms.FaultInjectionAlgorithms.run_shard`), and
 streams its results back over a queue in batches: one
@@ -46,10 +47,8 @@ import queue as queue_module
 import time
 import traceback
 
-from . import sharedstate
 from .algorithms import BATCH_SIZE, fold_engine_stats
 from .errors import GoofiError
-from .probes import GoldenSnapshots, ProbeConfig
 from .resources import ResourceSampler
 from .telemetry import Telemetry
 
@@ -80,7 +79,11 @@ def _worker_main(
     specs,
     result_queue,
     abort_event,
-    shared_descriptor,
+    trace,
+    reference_state,
+    probe_config,
+    golden,
+    initial,
     checkpoints,
     checkpoint_capacity,
     fast,
@@ -114,18 +117,17 @@ def _worker_main(
     own algorithms class, so subclass-registered techniques run here
     too.  It keeps a local :class:`~repro.core.telemetry.Telemetry`
     (never a file or database sink — persistence stays with the
-    single-writer coordinator) and attaches the coordinator's one-time
-    shared-state publication (``shared_descriptor``, a shared segment or
-    its inline serialising fallback): the reference trace, the reference
-    state each row is classified against where it is made, the golden
-    probe snapshots (read zero-copy), and, under ``checkpoints``, the
-    armed cycle-0 image that pre-seeds the shard's checkpoint cache.
-    Snapshots hold live target references and never cross the process
-    boundary; each shard of the coordinator-sorted plan is itself in
-    first-injection order, so per-worker caches stay effective.  The
-    setup is timed as ``phase.worker_startup``.
+    single-writer coordinator) and starts from the state the coordinator
+    derived once: the reference ``trace``, the ``reference_state`` each
+    row is classified against where it is made, the ``probe_config`` and
+    ``golden`` probe snapshots (``None`` without probes), and, under
+    ``checkpoints``, the armed cycle-0 image (``initial``) that pre-seeds
+    the shard's checkpoint cache.  Checkpoint snapshots hold live target
+    references and never cross the process boundary; each shard of the
+    coordinator-sorted plan is itself in first-injection order, so
+    per-worker caches stay effective.  The setup is timed as
+    ``phase.worker_startup``.
     """
-    shared_view = None
     summary: dict = {}
     batch: list[tuple] = []
     oldest = 0.0
@@ -150,7 +152,6 @@ def _worker_main(
         import repro  # noqa: F401  (registers built-in targets under spawn)
 
         from .plugins import create_target
-        from .triggers import ReferenceTrace
 
         tele = Telemetry(telemetry_mode)
         sampler = ResourceSampler(
@@ -163,15 +164,8 @@ def _worker_main(
             algorithms.telemetry = tele
             algorithms.checkpoint_capacity = checkpoint_capacity
             algorithms.profile = profile
-            shared_view = sharedstate.SharedStateView.attach(shared_descriptor)
-            meta = shared_view.meta
-            trace = ReferenceTrace.from_payload(meta["trace"])
-            algorithms.reference_state = meta["reference"]
-            golden = None
-            probes = meta["probes"]
-            if probes is not None:
-                algorithms.probe_config = ProbeConfig.from_dict(probes["config"])
-                golden = GoldenSnapshots.from_shared(probes["golden"], shared_view)
+            algorithms.reference_state = reference_state
+            algorithms.probe_config = probe_config
         sampler.sample("worker_startup")
         summary = algorithms.run_shard(
             config,
@@ -181,7 +175,7 @@ def _worker_main(
             abort_event.is_set,
             checkpoints=checkpoints,
             golden=golden,
-            initial=meta["initial"],
+            initial=initial,
             sampler=sampler,
         )
         sampler.sample("shard_end")
@@ -198,8 +192,6 @@ def _worker_main(
         logger.exception("campaign worker %d crashed while running its shard", worker_id)
         summary = {"error": traceback.format_exc()}
     finally:
-        if shared_view is not None:
-            shared_view.close()
         send_batch()
         result_queue.put(("end", worker_id, summary))
 
@@ -209,55 +201,30 @@ class ProcessExecutor:
 
     Chosen by ``FaultInjectionAlgorithms.run_campaign(..., workers=N)``
     for ``N > 1`` and a non-empty plan.  ``fast`` selects the execution
-    engine in every worker; ``shared_state`` publishes the worker-startup
-    state once via :mod:`repro.core.sharedstate` for zero-copy
-    attachment, and when False (or when shared memory is unavailable)
-    the same content ships inline through the worker arguments instead.
-    Rows are bit-identical either way.
+    engine in every worker.
     """
 
-    def __init__(
-        self, algorithms, workers: int, fast: bool, shared_state: bool
-    ) -> None:
+    def __init__(self, algorithms, workers: int, fast: bool) -> None:
         self.algorithms = algorithms
         self.workers = workers
         self.fast = fast
-        self.shared_state = shared_state
 
     def run(self, config, specs, trace, golden, checkpoints: bool, ingest) -> None:
         algorithms = self.algorithms
         tele = algorithms.telemetry
         bus = algorithms.events
         progress = algorithms.progress
-        # Everything a worker needs on startup, derived exactly once:
-        # the reference trace, the reference state the worker classifies
-        # its rows against, the golden probe snapshots (chain images
-        # as packed buffers), and — under checkpointing — the armed
-        # fault-free initial image that seeds each worker's cache.
-        meta: dict = {
-            "trace": trace.to_payload(),
-            "reference": algorithms.reference_state,
-            "probes": None,
-            "initial": None,
-        }
-        buffers: dict[str, bytes] = {}
-        if golden is not None:
-            golden_meta, buffers = golden.to_shared()
-            meta["probes"] = {
-                "config": algorithms.probe_config.to_dict(),
-                "golden": golden_meta,
-            }
+        # Everything a worker needs on startup is derived exactly once,
+        # here, and handed over as Process arguments: a forked worker
+        # inherits the objects themselves, a spawned one unpickles them.
+        # Under checkpointing that includes the armed fault-free initial
+        # image that seeds each worker's cache.
+        initial = None
         if checkpoints:
             with tele.time("phase.initial_image"):
                 algorithms._prepare_target(config)
                 algorithms.target.run_workload()
-                meta["initial"] = algorithms.target.save_state()
-        handle = sharedstate.publish(meta, buffers) if self.shared_state else None
-        descriptor = (
-            handle.descriptor
-            if handle is not None
-            else sharedstate.inline_descriptor(meta, buffers)
-        )
+                initial = algorithms.target.save_state()
         context = _start_context()
         result_queue = context.Queue()
         abort_event = context.Event()
@@ -274,7 +241,11 @@ class ProcessExecutor:
                     shard,
                     result_queue,
                     abort_event,
-                    descriptor,
+                    trace,
+                    algorithms.reference_state,
+                    algorithms.probe_config,
+                    golden,
+                    initial,
                     checkpoints,
                     algorithms.checkpoint_capacity,
                     self.fast,
@@ -292,8 +263,18 @@ class ProcessExecutor:
             len(specs),
             self.workers,
         )
-        for worker_id, process in enumerate(processes):
-            process.start()
+        if context.get_start_method() == "fork":
+            for process in processes:
+                process.start()
+        else:
+            # start() returns once a spawned child has booted and read
+            # its pickled arguments, which outgrow the pipe's buffer:
+            # start the workers side by side so their boots overlap.
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(len(processes)) as pool:
+                list(pool.map(lambda process: process.start(), processes))
+        for worker_id in range(self.workers):
             bus.emit(
                 "worker_started",
                 campaign=config.name,
@@ -373,8 +354,6 @@ class ProcessExecutor:
                     process.terminate()
                     process.join()
             result_queue.close()
-            if handle is not None:
-                handle.close()
         if failures:
             raise WorkerFailure(
                 f"parallel campaign {config.name!r} aborted; " + "; ".join(failures)

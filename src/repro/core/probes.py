@@ -137,24 +137,16 @@ class GoldenSnapshots:
     #: Lazy per-(cycle, chain) ``array('Q')`` packings of ``snapshots``,
     #: built on first probe use (``None`` entries mark unpackable chains).
     _packed: dict = field(default_factory=dict, repr=False)
-    #: Shared-memory attachment state (workers only): sorted cycles,
-    #: read-only ``'Q'`` buffer views, and the unpackable-chain tuples
-    #: shipped via metadata.  ``None`` on locally captured snapshots.
-    _shared: dict | None = field(default=None, repr=False)
 
     def cycles(self) -> list[int]:
-        if self._shared is not None:
-            return self._shared["cycles"]
         return sorted(self.snapshots)
 
     # -- per-chain access (packed fast path + tuple slow path) ---------
     def packed_chain(self, cycle: int, index: int):
-        """The golden ``array('Q')``/``'Q'``-memoryview buffer of chain
-        ``index`` at ``cycle``, or ``None`` when that chain does not
-        pack.  Probe readout compares a freshly packed target snapshot
-        against this in one C-level buffer comparison."""
-        if self._shared is not None:
-            return self._shared["buffers"].get((cycle, index))
+        """The golden ``array('Q')`` buffer of chain ``index`` at
+        ``cycle``, or ``None`` when that chain does not pack.  Probe
+        readout compares a freshly packed target snapshot against this
+        in one C-level buffer comparison."""
         key = (cycle, index)
         try:
             return self._packed[key]
@@ -166,85 +158,11 @@ class GoldenSnapshots:
         """The golden per-element value tuple of chain ``index`` at
         ``cycle`` — the walk path for chains whose packed buffers
         differ, and the whole path for unpackable chains."""
-        shared = self._shared
-        if shared is None:
-            return self.snapshots[cycle][index]
-        key = (cycle, index)
-        values = shared["unpacked"].get(key)
-        if values is not None:
-            return values
-        cached = shared["values"].get(key)
-        if cached is None:
-            # Materialise element tuples lazily: most experiments never
-            # walk most chains, so the shared buffer stays the only copy.
-            cached = shared["values"][key] = tuple(shared["buffers"][key])
-        return cached
-
-    # -- shared-memory round trip --------------------------------------
-    def to_shared(self) -> tuple[dict, dict]:
-        """Split into ``(meta, buffers)`` for one-time shared-memory
-        publication: each packable chain image becomes one named bytes
-        buffer (attached zero-copy by every worker), everything else —
-        config, liveness, and any unpackable chains — rides in the
-        picklable metadata."""
-        meta = {
-            "period": self.period,
-            "chains": list(self.chains),
-            "cycles": self.cycles(),
-            "duration": self.duration,
-            "liveness": self.liveness,
-            "unpacked": [],
-        }
-        buffers: dict[str, bytes] = {}
-        for cycle in self.cycles():
-            for index, values in enumerate(self.snapshots[cycle]):
-                packed = self.packed_chain(cycle, index)
-                if packed is None:
-                    meta["unpacked"].append([cycle, index, list(values)])
-                else:
-                    buffers[f"golden:{cycle}:{index}"] = packed.tobytes()
-        return meta, buffers
-
-    @classmethod
-    def from_shared(cls, meta: dict, view) -> "GoldenSnapshots":
-        """Attach to a coordinator's :meth:`to_shared` publication.
-        ``view`` supplies named read-only buffers
-        (:class:`repro.core.sharedstate.SharedStateView`); golden chain
-        images are memoryviews into the shared segment — no
-        deserialisation, no copies."""
-        from .liveness import normalise_liveness_payload
-
-        cycles = [int(cycle) for cycle in meta["cycles"]]
-        unpacked = {
-            (int(cycle), int(index)): tuple(int(v) for v in values)
-            for cycle, index, values in meta["unpacked"]
-        }
-        buffers = {}
-        for cycle in cycles:
-            for index in range(len(meta["chains"])):
-                if (cycle, index) in unpacked:
-                    continue
-                buffers[(cycle, index)] = view.buffer(
-                    f"golden:{cycle}:{index}", typecode="Q"
-                )
-        golden = cls(
-            period=int(meta["period"]),
-            chains=tuple(meta["chains"]),
-            snapshots={},
-            duration=int(meta["duration"]),
-            liveness=normalise_liveness_payload(meta.get("liveness")),
-        )
-        golden._shared = {
-            "cycles": cycles,
-            "buffers": buffers,
-            "unpacked": unpacked,
-            "values": {},
-        }
-        return golden
+        return self.snapshots[cycle][index]
 
     def to_payload(self) -> dict:
-        """A picklable/JSON-able form for shipping to parallel workers
-        (JSON would stringify the int keys, so keep tuples explicit)."""
+        """A JSON-able form (JSON would stringify the int keys, so keep
+        tuples explicit)."""
         return {
             "period": self.period,
             "chains": list(self.chains),

@@ -11,8 +11,8 @@ Two backends, one record shape:
 ``procfs``
     Reads ``/proc/self/stat`` (utime/stime in clock ticks) and
     ``/proc/self/statm`` (resident and shared pages).  Preferred on Linux
-    because it exposes the shared-segment footprint of the PR-8
-    shared-memory golden state.
+    because it exposes the shared pages, such as those a forked worker
+    still shares with its coordinator.
 
 ``getrusage``
     Falls back to :func:`resource.getrusage` where procfs is unavailable

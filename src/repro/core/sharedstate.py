@@ -1,208 +1,14 @@
-"""One-writer/many-reader shared state for parallel campaigns.
+"""Former shared-memory transport of parallel campaigns (now empty).
 
-A parallel campaign's workers all need the same read-only preamble: the
-reference trace, the golden probe snapshots (with the liveness map), and
-the fault-free initial image used to seed checkpoint caches.  Before
-this module each worker re-derived or re-deserialised that state on
-startup — the coordinator re-ran ``phase.reference`` *per worker* and
-shipped golden payloads through pickled process arguments.
+Parallel workers used to attach their start-up state (reference trace,
+golden probe snapshots, armed initial image) from one
+``multiprocessing.shared_memory`` segment the coordinator published.
+They now receive those objects as plain ``Process`` arguments
+(:class:`repro.core.parallel.ProcessExecutor`): inherited without a copy
+under ``fork``, one pickle per worker under ``spawn``.  Creating the
+segment started multiprocessing's resource-tracker process, an extra
+interpreter competing with the workers for the host's cores.
 
-Here the coordinator publishes everything **once** into a single
-``multiprocessing.shared_memory`` segment and hands workers a tiny
-descriptor (the segment name).  Workers attach read-only: large buffers
-(golden chain images, memory words) become memoryviews straight into the
-shared pages — no copies, no deserialisation — and the remaining
-metadata is one small pickle load.
-
-Segment layout::
-
-    [8-byte LE header length n][n-byte pickled header][buffer bytes...]
-
-The header carries the caller's ``meta`` object plus an index mapping
-buffer keys to ``(offset, length)`` spans in the buffer region.
-
-When shared memory is unavailable (platform without ``/dev/shm``,
-permission-restricted sandboxes), :func:`publish` returns ``None`` and
-the caller falls back to shipping the same ``(meta, buffers)`` inline
-through the worker arguments — the serialising fallback.  Attachment is
-symmetric: :meth:`SharedStateView.attach` accepts either descriptor
-form, so workers never care which transport was used.
+The module stays importable, without contents, for code that imports
+it by name.
 """
-
-from __future__ import annotations
-
-import logging
-import pickle
-import struct
-
-log = logging.getLogger(__name__)
-
-_HEADER_LEN = struct.Struct("<Q")
-
-
-def _attach_segment(name: str):
-    """Open an existing shared-memory segment, untracked where the
-    platform allows it.
-
-    Python's ``resource_tracker`` assumes every process that opens a
-    segment owns it (bpo-39959); only the coordinator owns ours.  Newer
-    Pythons expose ``track=False``.  On older ones the attach-side
-    registration is left in place: under the default ``fork`` start
-    method the workers share the coordinator's tracker process, whose
-    registry is a set — the duplicate registration is a no-op and the
-    coordinator's ``unlink`` clears it exactly once.  (Explicitly
-    unregistering here would instead make that ``unlink`` a noisy
-    double-remove.)
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
-
-
-class SharedStateHandle:
-    """The coordinator's side of a publication: owns the segment and
-    unlinks it when the campaign finishes."""
-
-    __slots__ = ("_segment", "descriptor")
-
-    def __init__(self, segment) -> None:
-        self._segment = segment
-        #: Small picklable token workers attach with.
-        self.descriptor = {"shm": segment.name}
-
-    def close(self) -> None:
-        """Release and remove the segment (coordinator teardown)."""
-        try:
-            self._segment.close()
-        except Exception:
-            pass
-        try:
-            self._segment.unlink()
-        except Exception:
-            pass
-
-
-def publish(meta: object, buffers: dict[str, bytes]) -> SharedStateHandle | None:
-    """Publish ``meta`` plus named ``buffers`` into one shared segment.
-
-    Returns a :class:`SharedStateHandle` (whose ``descriptor`` goes into
-    the worker arguments), or ``None`` when shared memory is unavailable
-    — the caller then ships an inline descriptor instead (see
-    :func:`inline_descriptor`).
-    """
-    index: dict[str, tuple[int, int]] = {}
-    offset = 0
-    for key, blob in buffers.items():
-        index[key] = (offset, len(blob))
-        offset += len(blob)
-    header = pickle.dumps({"meta": meta, "index": index})
-    total = _HEADER_LEN.size + len(header) + offset
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    except Exception as exc:
-        log.warning("shared memory unavailable (%s); falling back to serialising", exc)
-        return None
-    try:
-        view = segment.buf
-        view[: _HEADER_LEN.size] = _HEADER_LEN.pack(len(header))
-        view[_HEADER_LEN.size : _HEADER_LEN.size + len(header)] = header
-        base = _HEADER_LEN.size + len(header)
-        for key, blob in buffers.items():
-            start, length = index[key]
-            view[base + start : base + start + length] = blob
-    except Exception:
-        segment.close()
-        try:
-            segment.unlink()
-        except Exception:
-            pass
-        raise
-    return SharedStateHandle(segment)
-
-
-def inline_descriptor(meta: object, buffers: dict[str, bytes]) -> dict:
-    """The serialising-fallback descriptor: same content, shipped by
-    value through the (pickled) worker arguments."""
-    return {"inline": {"meta": meta, "buffers": dict(buffers)}}
-
-
-class SharedStateView:
-    """A worker's read-only view of a publication.
-
-    ``meta`` is the published metadata; :meth:`buffer` returns named
-    buffers as memoryviews into the shared pages (or the inline bytes in
-    fallback mode).  All handed-out memoryviews are tracked and released
-    by :meth:`close` — a shared segment cannot close while exports are
-    alive.
-    """
-
-    __slots__ = ("meta", "_segment", "_index", "_base", "_inline", "_views")
-
-    def __init__(self) -> None:
-        self.meta = None
-        self._segment = None
-        self._index: dict[str, tuple[int, int]] = {}
-        self._base = 0
-        self._inline: dict[str, bytes] | None = None
-        self._views: list[memoryview] = []
-
-    @classmethod
-    def attach(cls, descriptor: dict) -> "SharedStateView":
-        """Attach to either descriptor form (shared segment or inline)."""
-        view = cls()
-        inline = descriptor.get("inline")
-        if inline is not None:
-            view.meta = inline["meta"]
-            view._inline = inline["buffers"]
-            return view
-        segment = _attach_segment(descriptor["shm"])
-        view._segment = segment
-        raw = memoryview(segment.buf)
-        view._views.append(raw)
-        (header_len,) = _HEADER_LEN.unpack_from(raw, 0)
-        header = pickle.loads(raw[_HEADER_LEN.size : _HEADER_LEN.size + header_len])
-        view.meta = header["meta"]
-        view._index = header["index"]
-        view._base = _HEADER_LEN.size + header_len
-        return view
-
-    def buffer(self, key: str, typecode: str | None = None) -> memoryview:
-        """The named buffer as a (read-only in spirit) memoryview, cast
-        to ``typecode`` when given.  Raises ``KeyError`` for unknown
-        names."""
-        if self._inline is not None:
-            view = memoryview(self._inline[key])
-        else:
-            start, length = self._index[key]
-            view = memoryview(self._segment.buf)[
-                self._base + start : self._base + start + length
-            ]
-            self._views.append(view)
-        if typecode is not None:
-            view = view.cast(typecode)
-        self._views.append(view)
-        return view
-
-    def close(self) -> None:
-        """Release every handed-out view, then detach from the segment."""
-        for view in self._views:
-            try:
-                view.release()
-            except Exception:
-                pass
-        self._views.clear()
-        if self._segment is not None:
-            try:
-                self._segment.close()
-            except BufferError:
-                # A caller still holds an export; leaking the mapping
-                # until process exit beats crashing worker teardown.
-                pass
-            except Exception:
-                pass
-            self._segment = None

@@ -55,33 +55,6 @@ class ReferenceTrace:
     _reg_events: dict[int, list[tuple[int, str]]] | None = None
     _mem_events: dict[int, list[tuple[int, str]]] | None = None
 
-    def to_payload(self) -> dict:
-        """Picklable event-list form for shipping to parallel workers
-        (via the shared-state segment or the serialising fallback); the
-        lazy indices are rebuilt on the receiving side on demand."""
-        return {
-            "instructions": [list(event) for event in self.instructions],
-            "mem_accesses": [list(event) for event in self.mem_accesses],
-            "reg_accesses": [list(event) for event in self.reg_accesses],
-            "duration": self.duration,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ReferenceTrace":
-        """Rebuild from :meth:`to_payload` output.
-
-        Element types survive both transports (pickle and JSON) as-is,
-        so rebuilding is a single C-level ``map(tuple, ...)`` per event
-        list — this runs on every worker startup and its cost is part of
-        the attach path the shared-state engine is meant to keep small.
-        """
-        return cls(
-            instructions=list(map(tuple, payload["instructions"])),
-            mem_accesses=list(map(tuple, payload["mem_accesses"])),
-            reg_accesses=list(map(tuple, payload["reg_accesses"])),
-            duration=int(payload["duration"]),
-        )
-
     def pc_cycles(self, pc: int) -> list[int]:
         """Cycles at which the instruction at ``pc`` was executed."""
         if self._pc_cycles is None:

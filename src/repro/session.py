@@ -155,7 +155,6 @@ class GoofiSession:
         telemetry=None,
         probes=None,
         prune=None,
-        shared_state: bool = True,
         events=None,
         resources=None,
         profile: bool = False,
@@ -202,7 +201,6 @@ class GoofiSession:
             telemetry=telemetry,
             probes=probes,
             prune=prune,
-            shared_state=shared_state,
             events=events,
             resources=resources,
             profile=profile,

@@ -9,7 +9,12 @@ state.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +24,35 @@ from repro.core.errors import ConfigurationError
 from repro.core.parallel import WorkerFailure
 from repro.core.resources import ResourceSampler
 from repro.core.telemetry import Telemetry
+
+
+#: A workers=2 thor-sm campaign under ``fork``; prints the resource
+#: tracker's pid and every ``/dev/shm/psm_*`` segment seen during the run.
+_TRACKER_PROBE = """
+import glob, json
+from multiprocessing import resource_tracker
+from repro import CampaignConfig, GoofiSession
+
+before = set(glob.glob("/dev/shm/psm_*"))
+seen = set()
+with GoofiSession(target_name="thor-sm") as session:
+    session.setup_campaign(CampaignConfig(
+        name="sm", target="thor-sm", technique="swifi_preruntime",
+        workload="s_checksum", location_patterns=("memory:data",),
+        num_experiments=12, seed=5,
+        termination=session.default_termination("s_checksum"),
+        observation=session.default_observation("s_checksum"),
+    ))
+    session.progress.observers.append(
+        lambda event: seen.update(glob.glob("/dev/shm/psm_*"))
+    )
+    result = session.run_campaign("sm", workers=2)
+print(json.dumps({
+    "run": result.experiments_run,
+    "tracker_pid": resource_tracker._resource_tracker._pid,
+    "new_segments": sorted(seen - before),
+}))
+"""
 
 
 def rows_by_name(db, campaign: str) -> dict:
@@ -358,20 +392,17 @@ class TestRunnerValidation:
 
 
 class TestSharedState:
-    """The one-time shared-state publication: rows stay bit-identical
-    whether workers attach the shared segment or receive the serialising
-    fallback, and startup-phase telemetry lands where the work happens."""
+    """The start-up state every worker shares with the coordinator (the
+    reference trace, golden probe snapshots and armed initial image,
+    handed over as ``Process`` arguments): rows stay bit-identical to
+    the serial loop's, and startup-phase telemetry lands where the work
+    happens."""
 
-    def test_shared_and_fallback_rows_identical(self, session):
+    def test_probe_and_checkpoint_rows_identical(self, session):
         make_campaign(session, "serial", num_experiments=10, seed=61)
         session.run_campaign("serial", probes=True)
         reference_rows = rows_by_name(session.db, "serial")
-        for label, kwargs in {
-            "shm": {},
-            "fallback": {"shared_state": False},
-            "shm-ckpt": {"checkpoints": True},
-            "fallback-ckpt": {"checkpoints": True, "shared_state": False},
-        }.items():
+        for label, kwargs in {"par": {}, "par-ckpt": {"checkpoints": True}}.items():
             make_campaign(session, label, num_experiments=10, seed=61)
             result = session.run_campaign(
                 label, workers=2, probes=True, **kwargs
@@ -379,24 +410,53 @@ class TestSharedState:
             assert result.experiments_run == 10
             assert rows_by_name(session.db, label) == reference_rows
 
-    def test_shared_state_flag_via_cli(self, tmp_path, capsys):
-        from repro.cli.main import main
+    def test_spawn_workers_rows_identical(self, session, monkeypatch):
+        """Under ``spawn`` the start-up state crosses a real pickle
+        boundary (golden snapshots and the initial image included) and
+        the workers start side by side; rows still match the serial
+        loop's."""
+        import repro.core.parallel as parallel
 
-        db = str(tmp_path / "p.db")
-        assert main([
-            "campaign", "create", "--db", db, "--name", "c",
-            "--workload", "fibonacci", "--experiments", "6",
-        ]) == 0
-        assert main([
-            "run", "--db", db, "c", "--quiet", "--workers", "2",
-            "--no-shared-state",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "completed: 6/6 experiments" in out
+        make_campaign(session, "serial", num_experiments=6, seed=65)
+        session.run_campaign("serial", probes=True)
+        monkeypatch.setattr(
+            parallel, "_start_context", lambda: multiprocessing.get_context("spawn")
+        )
+        make_campaign(session, "spawned", num_experiments=6, seed=65)
+        result = session.run_campaign(
+            "spawned", workers=2, probes=True, checkpoints=True
+        )
+        assert result.experiments_run == 6
+        assert rows_by_name(session.db, "spawned") == rows_by_name(
+            session.db, "serial"
+        )
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods()
+        or not os.path.isdir("/dev/shm"),
+        reason="needs the fork start method and /dev/shm",
+    )
+    def test_fork_workers_start_no_resource_tracker(self):
+        """Forked workers inherit their start-up state: a parallel run
+        creates no shared-memory segment, so multiprocessing never
+        starts its resource-tracker process.  Run in a fresh interpreter,
+        where nothing else can have started the tracker."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACKER_PROBE],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["run"] == 12
+        assert report["tracker_pid"] is None
+        assert report["new_segments"] == []
 
     def test_reference_and_golden_attributed_to_coordinator(self, session):
-        """With shared state the reference trace and golden snapshots
-        are derived exactly once, in the coordinator; workers report
+        """The reference trace and golden snapshots are derived
+        exactly once, in the coordinator; workers report
         their setup as ``phase.worker_startup`` instead."""
         make_campaign(session, "c", num_experiments=8, seed=62)
         result = session.run_campaign(

@@ -8,7 +8,9 @@ and (d) a pure function of the seed.
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.campaign import (
@@ -24,6 +26,7 @@ from repro.core.locations import (
     MemoryRegionInfo,
     ScanElementInfo,
 )
+from repro.core.rng import experiment_seeds
 from repro.core.triggers import ReferenceTrace
 
 SPACE = LocationSpace(
@@ -160,3 +163,33 @@ def test_property_different_seeds_usually_differ(seed, duration):
         return PlanGenerator(config, SPACE, make_trace(duration)).generate()
 
     assert plan_for(seed) != plan_for(seed + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**70), count=st.integers(0, 40))
+@example(seed=2**32 - 1, count=3)
+@example(seed=2**32, count=3)
+@example(seed=2**64 - 1, count=3)
+@example(seed=2**64, count=3)
+@example(seed=2**70, count=3)
+def test_property_experiment_seeds_match_seed_sequence(seed, count):
+    """The vectorised per-experiment seeds are numpy's SeedSequence
+    values, bit for bit (rows log them), across the word boundaries of
+    the seed's 32-bit entropy words."""
+    assert experiment_seeds(seed, count) == [
+        int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+        for index in range(count)
+    ]
+
+
+def test_negative_seed_rejected_by_generate():
+    config = CampaignConfig(
+        name="prop", target="t", technique=TECHNIQUE_SCIFI, workload="w",
+        location_patterns=("internal:regs.*",), num_experiments=3,
+        termination=Termination(max_cycles=200),
+        observation=ObservationSpec(), seed=-1,
+    )
+    with pytest.raises(ValueError):
+        PlanGenerator(config, SPACE, make_trace(50)).generate()
+    with pytest.raises(ValueError):
+        experiment_seeds(-1, 3)

@@ -7,20 +7,19 @@ Three contracts:
   a tuple, and logged state vectors stay JSON-serialisable;
 * ``save_state`` → ``restore_state`` → ``save_state`` is a lossless
   round trip on both targets (Hypothesis-driven);
-* the shared-memory transport (:mod:`repro.core.sharedstate`) delivers
-  byte-identical state to what the serialising payload path delivers —
-  for raw buffers, reference traces, and golden probe snapshots.
+* the start-up state a ``spawn`` worker unpickles — reference traces
+  and golden probe snapshots — equals the coordinator's.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import sharedstate
 from repro.core.probes import GoldenSnapshots
 from repro.core.triggers import ReferenceTrace
 from repro.core.plugins import create_target
@@ -197,58 +196,8 @@ class TestSaveRestoreRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory transport
+# Worker start-up state across a pickle boundary
 # ----------------------------------------------------------------------
-class TestSharedState:
-    def test_publish_attach_round_trip(self):
-        meta = {"answer": 42, "nested": {"k": [1, 2, 3]}}
-        buffers = {"a": b"hello", "b": bytes(range(16)), "empty": b""}
-        handle = sharedstate.publish(meta, buffers)
-        assert handle is not None, "shared memory unavailable in test env"
-        try:
-            view = sharedstate.SharedStateView.attach(handle.descriptor)
-            assert view.meta == meta
-            for key, blob in buffers.items():
-                assert bytes(view.buffer(key)) == blob
-            with pytest.raises(KeyError):
-                view.buffer("missing")
-            view.close()
-        finally:
-            handle.close()
-
-    def test_typed_buffer_views(self):
-        packed = statebuf.pack_values([1, 2, 3, 2**63])
-        handle = sharedstate.publish({}, {"q": packed.tobytes()})
-        assert handle is not None
-        try:
-            view = sharedstate.SharedStateView.attach(handle.descriptor)
-            typed = view.buffer("q", typecode="Q")
-            assert list(typed) == [1, 2, 3, 2**63]
-            assert typed == packed  # C-level content comparison
-            view.close()
-        finally:
-            handle.close()
-
-    def test_inline_fallback_is_equivalent(self):
-        meta = {"mode": "fallback"}
-        buffers = {"x": b"\x01\x02\x03"}
-        descriptor = sharedstate.inline_descriptor(meta, buffers)
-        view = sharedstate.SharedStateView.attach(descriptor)
-        assert view.meta == meta
-        assert bytes(view.buffer("x")) == buffers["x"]
-        view.close()
-
-    def test_close_releases_segment(self):
-        handle = sharedstate.publish({"x": 1}, {"b": b"data"})
-        assert handle is not None
-        view = sharedstate.SharedStateView.attach(handle.descriptor)
-        _ = view.buffer("b")
-        view.close()  # must release all exports without BufferError
-        handle.close()
-        with pytest.raises(Exception):
-            sharedstate.SharedStateView.attach(handle.descriptor)
-
-
 class TestReferenceTracePayload:
     def test_round_trip(self):
         trace = ReferenceTrace(
@@ -257,12 +206,14 @@ class TestReferenceTracePayload:
             reg_accesses=[(0, "write", 3)],
             duration=2,
         )
-        rebuilt = ReferenceTrace.from_payload(trace.to_payload())
+        trace.pc_cycles(0)  # an index built before the pickle travels along
+        # A spawn worker unpickles the coordinator's trace.
+        rebuilt = pickle.loads(pickle.dumps(trace))
         assert rebuilt.instructions == trace.instructions
         assert rebuilt.mem_accesses == trace.mem_accesses
         assert rebuilt.reg_accesses == trace.reg_accesses
         assert rebuilt.duration == trace.duration
-        # The lazy indices rebuild identically on the receiving side.
+        # The lazy indices answer identically on the receiving side.
         assert rebuilt.pc_cycles(1) == trace.pc_cycles(1)
         assert rebuilt.access_cycles(7) == trace.access_cycles(7)
 
@@ -298,30 +249,14 @@ class TestGoldenSharedEquivalence:
                     assert other_packed == packed
 
     def test_shared_matches_payload(self):
-        """The shared-memory golden snapshots and the serialised-payload
-        golden snapshots expose identical values through identical
-        accessors — workers diff against the same images either way."""
+        """The golden snapshots a ``spawn`` worker unpickles, and the
+        payload form, expose the same values through the same accessors
+        as the coordinator's, packed chain images included: workers diff
+        against the same images either way."""
         golden = self.make_golden()
+        golden.packed_chain(100, 0)  # a lazy packing travels along
         via_payload = GoldenSnapshots.from_payload(golden.to_payload())
-        meta, buffers = golden.to_shared()
-        handle = sharedstate.publish(meta, buffers)
-        assert handle is not None
-        try:
-            view = sharedstate.SharedStateView.attach(handle.descriptor)
-            via_shared = GoldenSnapshots.from_shared(view.meta, view)
-            self.assert_equivalent(golden, via_shared)
-            self.assert_equivalent(via_payload, via_shared)
-            assert via_shared.liveness == golden.liveness
-            view.close()
-        finally:
-            handle.close()
-
-    def test_inline_shared_matches_payload(self):
-        golden = self.make_golden()
-        meta, buffers = golden.to_shared()
-        view = sharedstate.SharedStateView.attach(
-            sharedstate.inline_descriptor(meta, buffers)
-        )
-        via_shared = GoldenSnapshots.from_shared(view.meta, view)
-        self.assert_equivalent(golden, via_shared)
-        view.close()
+        via_pickle = pickle.loads(pickle.dumps(golden))
+        self.assert_equivalent(golden, via_pickle)
+        self.assert_equivalent(via_payload, via_pickle)
+        assert via_pickle.liveness == golden.liveness

@@ -86,7 +86,7 @@ class TestReferenceTraceIndices:
     def test_mem_events_index_matches_linear_scan(self):
         """The lazily built per-address index gives, for every accessed
         address and for one never accessed, the chronological list a
-        scan over every access would; the index stays off the payload."""
+        scan over every access would."""
         trace = make_trace()
         for address in {addr for _, _, addr in trace.mem_accesses} | {0x4999}:
             assert trace.mem_events(address) == [
@@ -96,11 +96,6 @@ class TestReferenceTraceIndices:
             ]
         assert trace.mem_events(0x4999) == []
         assert trace._mem_events is not None
-        payload = trace.to_payload()
-        assert set(payload) == {
-            "instructions", "mem_accesses", "reg_accesses", "duration",
-        }
-        assert ReferenceTrace.from_payload(payload)._mem_events is None
 
 
 class TestTriggerResolution:

@@ -76,7 +76,6 @@ from .liveness import (
     build_prune_plan,
     dead_windows,
     liveness_map,
-    normalise_liveness_payload,
     resolve_prune,
 )
 from .locations import (

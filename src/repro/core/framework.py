@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import TargetError
 from .faultmodels import FaultModel
@@ -375,14 +375,3 @@ class TargetSystemInterface(abc.ABC):
             f"target {self.target_name!r} does not support checkpointing"
         )
 
-
-@dataclass(slots=True)
-class Framework:
-    """A convenience record bundling what a registered target provides —
-    used by the CLI and plugin registry to describe targets without
-    instantiating them."""
-
-    name: str
-    interface_class: type[TargetSystemInterface]
-    description: str = ""
-    techniques: tuple[str, ...] = field(default_factory=tuple)

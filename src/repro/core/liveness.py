@@ -184,10 +184,7 @@ def liveness_map(trace: ReferenceTrace) -> dict:
     register, first-access kind per traced memory word, plus the
     never-accessed tail implied by omission.
 
-    The maps are keyed by register index / word address (``int`` keys on
-    purpose — a JSON transport stringifies them, which is exactly what
-    :meth:`repro.core.probes.GoldenSnapshots.from_payload` normalises
-    back).
+    The maps are keyed by register index / word address.
     """
     registers: dict[int, dict] = {}
     for register in sorted({reg for _, _, reg in trace.reg_accesses}):
@@ -210,20 +207,6 @@ def liveness_map(trace: ReferenceTrace) -> dict:
         "registers": registers,
         "memory": memory,
     }
-
-
-def normalise_liveness_payload(payload: dict | None) -> dict | None:
-    """Undo JSON key stringification on a :func:`liveness_map` payload:
-    the ``registers``/``memory`` maps come back keyed by ``int`` again."""
-    if payload is None:
-        return None
-    normalised = dict(payload)
-    for key in ("registers", "memory"):
-        if key in normalised and isinstance(normalised[key], dict):
-            normalised[key] = {
-                int(index): value for index, value in normalised[key].items()
-            }
-    return normalised
 
 
 # ----------------------------------------------------------------------

@@ -160,48 +160,6 @@ class GoldenSnapshots:
         differ, and the whole path for unpackable chains."""
         return self.snapshots[cycle][index]
 
-    def to_payload(self) -> dict:
-        """A JSON-able form (JSON would stringify the int keys, so keep
-        tuples explicit)."""
-        return {
-            "period": self.period,
-            "chains": list(self.chains),
-            "snapshots": [
-                [cycle, [list(values) for values in chains]]
-                for cycle, chains in sorted(self.snapshots.items())
-            ],
-            "duration": self.duration,
-            "liveness": self.liveness,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "GoldenSnapshots":
-        """Rebuild from :meth:`to_payload` output, including after a
-        JSON round trip: integer-keyed mappings (probe cycles in the
-        dict snapshot form, register/address keys in the liveness
-        summary) come back as string keys and are normalised here."""
-        from .liveness import normalise_liveness_payload
-
-        raw = payload["snapshots"]
-        if isinstance(raw, dict):
-            # Mapping form {cycle: [chain values...]} — cycles arrive as
-            # strings after JSON.
-            items = [(cycle, chains) for cycle, chains in raw.items()]
-        else:
-            items = raw
-        return cls(
-            period=int(payload["period"]),
-            chains=tuple(payload["chains"]),
-            snapshots={
-                int(cycle): tuple(
-                    tuple(int(v) for v in values) for values in chains
-                )
-                for cycle, chains in items
-            },
-            duration=int(payload["duration"]),
-            liveness=normalise_liveness_payload(payload.get("liveness")),
-        )
-
 
 def capture_golden_snapshots(
     target: TargetSystemInterface,

@@ -16,7 +16,6 @@ from repro import GoofiSession
 from repro.core import CampaignConfig, DEFAULT_PROBE_PERIOD
 from repro.core.errors import ConfigurationError
 from repro.core.probes import (
-    GoldenSnapshots,
     ProbeConfig,
     location_class,
     resolve_probes,
@@ -70,52 +69,6 @@ class TestProbeConfig:
 
 
 class TestGoldenSnapshots:
-    def test_payload_round_trip(self):
-        golden = GoldenSnapshots(
-            period=16,
-            chains=("internal",),
-            snapshots={16: ((3, 9),), 32: ((7, 2),)},
-            duration=40,
-        )
-        clone = GoldenSnapshots.from_payload(golden.to_payload())
-        assert clone == golden
-        assert clone.cycles() == [16, 32]
-
-    def test_json_round_trip_restores_integer_keys(self):
-        """The payload crosses a real JSON boundary on its way to
-        parallel workers, and JSON stringifies every mapping key.  The
-        in-memory round trip above can't catch that; this one does:
-        snapshot cycles and the liveness maps' register/address keys
-        must come back as ints (regression: they came back as strings,
-        so golden lookups missed every cycle)."""
-        import json
-
-        golden = GoldenSnapshots(
-            period=16,
-            chains=("internal",),
-            snapshots={16: ((3, 9),), 32: ((7, 2),)},
-            duration=40,
-            liveness={
-                "duration": 40,
-                "registers": {
-                    1: {
-                        "accesses": 3,
-                        "never_read": False,
-                        "dead_windows": [[0, 8]],
-                        "dead_cycles": 8,
-                    }
-                },
-                "memory": {2048: {"first_access": "write", "first_cycle": 5, "accesses": 2}},
-            },
-        )
-        wire = json.loads(json.dumps(golden.to_payload()))
-        clone = GoldenSnapshots.from_payload(wire)
-        assert clone.snapshots == golden.snapshots
-        assert set(clone.snapshots) == {16, 32}
-        assert clone.liveness == golden.liveness
-        assert set(clone.liveness["registers"]) == {1}
-        assert set(clone.liveness["memory"]) == {2048}
-
     def test_capture_cycles_are_period_multiples(self, session):
         make_campaign(session, "g", num_experiments=2)
         session.run_campaign("g", probes=16)

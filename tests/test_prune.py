@@ -29,7 +29,6 @@ from repro.core.liveness import (
     dead_windows,
     first_event_at_or_after,
     liveness_map,
-    normalise_liveness_payload,
     resolve_prune,
     synthesize_record,
 )
@@ -122,18 +121,6 @@ class TestLivenessPrimitives:
     def test_adjacent_windows_merge(self):
         events = [(5, "write"), (11, "write")]
         assert dead_windows(events, 20) == [(0, 12)]
-
-    def test_normalise_round_trips_json_keys(self):
-        payload = {
-            "duration": 10,
-            "registers": {3: {"accesses": 1}},
-            "memory": {2048: {"first_access": "write"}},
-        }
-        wire = json.loads(json.dumps(payload))
-        assert list(wire["registers"]) == ["3"]
-        restored = normalise_liveness_payload(wire)
-        assert restored == payload
-        assert normalise_liveness_payload(None) is None
 
 
 class TestClassifier:

@@ -249,14 +249,12 @@ class TestGoldenSharedEquivalence:
                     assert other_packed == packed
 
     def test_shared_matches_payload(self):
-        """The golden snapshots a ``spawn`` worker unpickles, and the
-        payload form, expose the same values through the same accessors
-        as the coordinator's, packed chain images included: workers diff
-        against the same images either way."""
+        """The golden snapshots a ``spawn`` worker unpickles expose the
+        same values through the same accessors as the coordinator's,
+        packed chain images included: workers diff against the same
+        images."""
         golden = self.make_golden()
         golden.packed_chain(100, 0)  # a lazy packing travels along
-        via_payload = GoldenSnapshots.from_payload(golden.to_payload())
         via_pickle = pickle.loads(pickle.dumps(golden))
         self.assert_equivalent(golden, via_pickle)
-        self.assert_equivalent(via_payload, via_pickle)
         assert via_pickle.liveness == golden.liveness

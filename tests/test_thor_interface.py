@@ -1,5 +1,9 @@
 """Tests for the Thor target-system interface (the concrete Framework
-implementation of paper Figure 3)."""
+implementation of paper Figure 3).
+
+The target-agnostic cases take the ``target``, ``workload`` and
+``register`` fixtures; :class:`TestOnStackTarget` runs them once more on
+THOR-SM, with its own workload."""
 
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ from repro.core.errors import TargetError
 from repro.core.faultmodels import IntermittentBitFlip, StuckAt, TransientBitFlip
 from repro.core.framework import ObservationSpec, Termination
 from repro.core.locations import KIND_MEMORY, KIND_SCAN, Location
+from repro.targets.stack.interface import StackTargetInterface
 from repro.targets.thor.assembler import assemble
 from repro.targets.thor.interface import ThorTargetInterface
 from repro.targets.thor.isa import register_events as _register_events
@@ -17,7 +22,18 @@ from repro.targets.thor.isa import REG_SP, Instruction, Op
 TERM = Termination(max_cycles=100_000)
 
 
-def prepared(target: ThorTargetInterface, workload: str = "fibonacci") -> ThorTargetInterface:
+@pytest.fixture
+def workload() -> str:
+    return "fibonacci"
+
+
+@pytest.fixture
+def register() -> str:
+    """A writable scan element of the ``internal`` chain."""
+    return "regs.R1"
+
+
+def prepared(target, workload: str = "fibonacci"):
     target.init_test_card()
     target.load_workload(workload)
     target.run_workload()
@@ -30,15 +46,15 @@ class TestLifecycle:
         with pytest.raises(TargetError, match="no workload loaded"):
             target.run_workload()
 
-    def test_wait_requires_run(self, target):
+    def test_wait_requires_run(self, target, workload):
         target.init_test_card()
-        target.load_workload("fibonacci")
+        target.load_workload(workload)
         with pytest.raises(TargetError, match="run_workload first"):
             target.wait_for_termination(TERM)
 
     def test_unknown_workload(self, target):
         target.init_test_card()
-        with pytest.raises(TargetError, match="unknown workload"):
+        with pytest.raises(TargetError, match=r"unknown (stack )?workload 'pacman'"):
             target.load_workload("pacman")
 
     def test_extra_workloads_take_priority(self):
@@ -78,8 +94,8 @@ class TestBreakpoints:
         assert target.wait_for_breakpoint(25) is None
         assert target.current_cycle() == 25
 
-    def test_breakpoint_after_halt_reports_end(self, target):
-        prepared(target)
+    def test_breakpoint_after_halt_reports_end(self, target, workload):
+        prepared(target, workload)
         target.wait_for_termination(TERM)
         info = target.wait_for_breakpoint(10_000)
         assert info is not None
@@ -90,8 +106,8 @@ class TestBreakpoints:
         info = target.wait_for_breakpoint(50_000)  # beyond the whole run
         assert info is not None and info.outcome == "workload_end"
 
-    def test_breakpoint_in_the_past_rejected(self, target):
-        prepared(target)
+    def test_breakpoint_in_the_past_rejected(self, target, workload):
+        prepared(target, workload)
         target.wait_for_breakpoint(30)
         with pytest.raises(TargetError, match="in the past"):
             target.wait_for_breakpoint(10)
@@ -125,9 +141,9 @@ class TestScanInjection:
 
 
 class TestOverlays:
-    def test_transient_rejected_as_overlay(self, target):
-        prepared(target)
-        location = Location(kind=KIND_SCAN, chain="internal", element="regs.R1", bit=0)
+    def test_transient_rejected_as_overlay(self, target, workload, register):
+        prepared(target, workload)
+        location = Location(kind=KIND_SCAN, chain="internal", element=register, bit=0)
         with pytest.raises(TargetError, match="scan chains"):
             target.install_fault_overlay(location, TransientBitFlip(), seed=1)
 
@@ -141,26 +157,17 @@ class TestOverlays:
         # intermediate result was forced even, corrupting the sum.
         assert target.card.cpu.regs[1] % 2 == 0
 
-    def test_stuck_at_memory_bit(self, target):
-        program = assemble(
-            """
-            LDI r1, 0
-            STA r1, slot
-            LDA r2, slot
-            HALT
-            .data
-            slot: .word 0
-            """
-        )
-        target.extra_workloads["stuck"] = program
-        prepared(target, "stuck")
-        location = Location(kind=KIND_MEMORY, address=program.symbol("slot"), bit=5)
+    def test_stuck_at_memory_bit(self, target, workload):
+        prepared(target, workload)
+        address = target.location_space().region("data").base
+        assert not target.read_memory(address, 1)[0] & (1 << 30)
+        location = Location(kind=KIND_MEMORY, address=address, bit=30)
         target.install_fault_overlay(location, StuckAt(1), seed=1)
         target.wait_for_termination(TERM)
-        assert target.card.cpu.memory.host_read(program.symbol("slot")) & (1 << 5)
+        assert target.read_memory(address, 1)[0] & (1 << 30)
 
-    def test_read_only_element_rejected(self, target):
-        prepared(target)
+    def test_read_only_element_rejected(self, target, workload):
+        prepared(target, workload)
         location = Location(
             kind=KIND_SCAN, chain="internal", element="ctrl.CYCLE", bit=0
         )
@@ -240,12 +247,12 @@ class TestTraceRecording:
         _, trace = target.record_trace(TERM)
         assert (173, "write", 0x4000) in trace.mem_accesses
 
-    def test_hooks_removed_after_trace(self, target):
+    def test_hooks_removed_after_trace(self, target, workload):
         target.init_test_card()
-        target.load_workload("fibonacci")
+        target.load_workload(workload)
         target.record_trace(TERM)
-        assert target.card.cpu.trace_hook is None
-        assert target.card.cpu.mem_hook is None
+        assert target.machine.trace_hook is None
+        assert target.machine.mem_hook is None
 
 
 class TestRegisterEventModel:
@@ -296,3 +303,30 @@ class TestMetadata:
         assert "scifi" in description["techniques"]
         assert "fibonacci" in description["workloads"]
         assert "scan_chains" in description
+
+
+class TestOnStackTarget:
+    """The target-agnostic cases above, on THOR-SM."""
+
+    @pytest.fixture
+    def target(self) -> StackTargetInterface:
+        return StackTargetInterface()
+
+    @pytest.fixture
+    def workload(self) -> str:
+        return "s_fib"
+
+    @pytest.fixture
+    def register(self) -> str:
+        return "dstack.C0"
+
+    test_run_requires_workload = TestLifecycle.test_run_requires_workload
+    test_wait_requires_run = TestLifecycle.test_wait_requires_run
+    test_unknown_workload = TestLifecycle.test_unknown_workload
+    test_breakpoint_after_halt_reports_end = TestBreakpoints.test_breakpoint_after_halt_reports_end
+    test_breakpoint_in_the_past_rejected = TestBreakpoints.test_breakpoint_in_the_past_rejected
+    test_unknown_chain_raises_target_error = TestScanInjection.test_unknown_chain_raises_target_error
+    test_transient_rejected_as_overlay = TestOverlays.test_transient_rejected_as_overlay
+    test_read_only_element_rejected = TestOverlays.test_read_only_element_rejected
+    test_stuck_at_memory_bit = TestOverlays.test_stuck_at_memory_bit
+    test_hooks_removed_after_trace = TestTraceRecording.test_hooks_removed_after_trace

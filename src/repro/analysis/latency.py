@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.errors import AnalysisError
 from ..db import ExperimentFacts
 from .classify import CATEGORY_DETECTED, CampaignClassification
@@ -62,21 +60,45 @@ class LatencyStatistics:
     def count(self) -> int:
         return len(self.samples)
 
-    def _values(self) -> np.ndarray:
-        return np.array([s.latency for s in self.samples], dtype=float)
+    def _sorted(self) -> list[float]:
+        return sorted(float(s.latency) for s in self.samples)
 
+    # The statistics follow numpy's formulas step for step (its median,
+    # ``linear`` percentile and equal-width histogram), so stored
+    # reports and gate verdicts read the same digits.
     @property
     def mean(self) -> float:
-        return float(self._values().mean()) if self.samples else float("nan")
+        if not self.samples:
+            return float("nan")
+        return sum(float(s.latency) for s in self.samples) / len(self.samples)
 
     @property
     def median(self) -> float:
-        return float(np.median(self._values())) if self.samples else float("nan")
-
-    def percentile(self, q: float) -> float:
         if not self.samples:
             return float("nan")
-        return float(np.percentile(self._values(), q))
+        values = self._sorted()
+        middle = len(values) // 2
+        if len(values) % 2:
+            return values[middle]
+        return (values[middle - 1] + values[middle]) / 2
+
+    def percentile(self, q: float) -> float:
+        """Linear interpolation between the closest ranks."""
+        if not self.samples:
+            return float("nan")
+        if not 0 <= q <= 100:
+            raise ValueError("percentiles must be in the range [0, 100]")
+        values = self._sorted()
+        position = (len(values) - 1) * (q / 100)
+        below = int(position)
+        if below >= len(values) - 1:
+            return values[-1]
+        a, b = values[below], values[below + 1]
+        t = position - below
+        # numpy's _lerp: from the nearer end, so t = 1 lands on b exactly.
+        if t >= 0.5:
+            return b - (b - a) * (1 - t)
+        return a + (b - a) * t
 
     @property
     def maximum(self) -> float:
@@ -98,12 +120,26 @@ class LatencyStatistics:
         """
         if not self.samples:
             return []
-        values = self._values()
-        counts, edges = np.histogram(values, bins=bins)
-        return [
-            (float(edges[i]), float(edges[i + 1]), int(counts[i]))
-            for i in range(len(counts))
-        ]
+        if bins < 1:
+            raise ValueError("bins must be positive")
+        values = self._sorted()
+        first, last = values[0], values[-1]
+        if first == last:
+            first, last = first - 0.5, last + 0.5
+        step = (last - first) / bins
+        edges = [i * step + first for i in range(bins)] + [last]
+        counts = [0] * bins
+        span = last - first
+        for value in values:
+            # The scaled index, corrected by one where rounding put the
+            # value on the wrong side of an edge; the last bin is closed.
+            index = min(int((value - first) / span * bins), bins - 1)
+            if value < edges[index]:
+                index -= 1
+            elif value >= edges[index + 1] and index != bins - 1:
+                index += 1
+            counts[index] += 1
+        return [(edges[i], edges[i + 1], counts[i]) for i in range(bins)]
 
 
 def _latency_of(record: ExperimentFacts, strict: bool = False) -> LatencySample | None:

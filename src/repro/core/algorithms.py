@@ -1102,7 +1102,7 @@ class FaultInjectionAlgorithms:
                 applied.append(self._fault_entry(fault, cycle, applied_flag=False))
                 continue
             with span.phase("injection"):
-                self._apply_scan_fault(fault, cycle, spec.seed)
+                self._apply_fault(fault, spec.seed)
             span.add("injections")
             applied.append(self._fault_entry(fault, cycle, applied_flag=True))
 
@@ -1126,8 +1126,7 @@ class FaultInjectionAlgorithms:
                     raise ConfigurationError(
                         f"pre-runtime SWIFI cannot inject into {location.label()}"
                     )
-                word = target.read_memory(location.address, 1)[0]
-                target.write_memory(location.address, [word ^ (1 << location.bit)])
+                self._apply_fault(fault, spec.seed)
                 applied.append(self._fault_entry(fault, 0, applied_flag=True))
         span.add("injections", len(applied))
         target.run_workload()
@@ -1165,13 +1164,8 @@ class FaultInjectionAlgorithms:
                 continue
             with span.phase("injection"):
                 location = fault.location
-                if location.kind == KIND_MEMORY:
-                    word = target.read_memory(location.address, 1)[0]
-                    target.write_memory(
-                        location.address, [word ^ (1 << location.bit)]
-                    )
-                elif location.element.startswith("regs."):
-                    self._apply_scan_fault(fault, cycle, spec.seed)
+                if location.kind == KIND_MEMORY or location.element.startswith("regs."):
+                    self._apply_fault(fault, spec.seed)
                 else:
                     raise ConfigurationError(
                         f"runtime SWIFI reaches memory and registers only, "
@@ -1207,18 +1201,23 @@ class FaultInjectionAlgorithms:
         schedule.sort(key=lambda item: item[0])
         return schedule
 
-    def _apply_scan_fault(self, fault: PlannedFault, cycle: int, seed: int) -> None:
-        """readScanChain / injectFault / writeScanChain for transients;
-        overlay installation for permanent and intermittent models."""
+    def _apply_fault(self, fault: PlannedFault, seed: int) -> None:
+        """Overlay installation for permanent and intermittent models;
+        for transients, readScanChain / injectFault / writeScanChain on
+        a scan element, or a read-flip-write of a memory word."""
+        target = self.target
         location = fault.location
-        if location.kind != KIND_SCAN:
-            raise TargetError(f"scan injection got {location.label()}")
-        if is_transient(fault.model):
-            self.target.read_scan_chain(location.chain)
-            self.target.inject_fault(location)
-            self.target.write_scan_chain(location.chain)
+        if not is_transient(fault.model):
+            target.install_fault_overlay(location, fault.model, seed)
+        elif location.kind == KIND_MEMORY:
+            word = target.read_memory(location.address, 1)[0]
+            target.write_memory(location.address, [word ^ (1 << location.bit)])
+        elif location.kind == KIND_SCAN:
+            target.read_scan_chain(location.chain)
+            target.inject_fault(location)
+            target.write_scan_chain(location.chain)
         else:
-            self.target.install_fault_overlay(location, fault.model, seed)
+            raise TargetError(f"cannot inject into {location.label()}")
 
     @staticmethod
     def _fault_entry(fault: PlannedFault, cycle: int, applied_flag: bool) -> dict:

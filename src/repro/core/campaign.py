@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import ConfigurationError
 from .faultmodels import FaultModel, TransientBitFlip, model_from_dict
 from .framework import ObservationSpec, Termination
 from .locations import KIND_MEMORY, KIND_SCAN, Location, LocationSelection, LocationSpace
 from .preinjection import LivenessAnalysis, PreInjectionFilter
-from .rng import campaign_rng, experiment_seeds
+from .rng import PCG64, campaign_rng, experiment_seeds
 from .triggers import (
     BranchTrigger,
     BreakpointTrigger,
@@ -319,7 +317,7 @@ class PlanGenerator:
             )
         return experiments
 
-    def _plan_adjacent_burst(self, rng: np.random.Generator) -> tuple[PlannedFault, ...]:
+    def _plan_adjacent_burst(self, rng: PCG64) -> tuple[PlannedFault, ...]:
         """One multiple-bit upset: ``flips_per_experiment`` adjacent
         bits of a single element, all at the same trigger instant
         (wrapping within the element's width for narrow fields)."""
@@ -345,7 +343,7 @@ class PlanGenerator:
             )
         return tuple(faults)
 
-    def _plan_fault(self, rng: np.random.Generator) -> PlannedFault:
+    def _plan_fault(self, rng: PCG64) -> PlannedFault:
         config = self.config
         if config.technique == TECHNIQUE_SWIFI_PRERUNTIME:
             # Pre-runtime injection happens before the run: the "trigger"
@@ -356,7 +354,7 @@ class PlanGenerator:
         return PlannedFault(location, trigger, config.fault_model)
 
     def _sample_location_and_trigger(
-        self, rng: np.random.Generator
+        self, rng: PCG64
     ) -> tuple[Location, Trigger]:
         config = self.config
         lo, hi = self.window
@@ -410,7 +408,7 @@ class PlanGenerator:
         raise ConfigurationError(f"unknown time strategy {strategy!r}")  # pragma: no cover
 
     def _sample_data_access_trigger(
-        self, rng: np.random.Generator, lo: int, hi: int
+        self, rng: PCG64, lo: int, hi: int
     ) -> tuple[Location, Trigger]:
         """Pick an accessed address and trigger on one of its accesses.
 

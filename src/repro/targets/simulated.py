@@ -31,8 +31,6 @@ import abc
 import copy
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from ..core.errors import TargetError
 from ..core.faultmodels import (
     FaultModel,
@@ -58,6 +56,7 @@ from ..core.locations import (
     ScanElementInfo,
 )
 from ..core.triggers import ReferenceTrace
+from ..pcg64 import PCG64
 from .scan import ScanChain
 
 
@@ -69,6 +68,24 @@ class StopNames(NamedTuple):
     cycle_limit: object
     cycle_break: object
     iteration: object
+
+
+class _StuckBit:
+    """A stuck-at overlay: a post-step hook that forces one bit."""
+
+    __slots__ = ("get_value", "set_value", "mask", "value")
+
+    def __init__(self, get_value, set_value, mask: int, value: int) -> None:
+        self.get_value = get_value
+        self.set_value = set_value
+        self.mask = mask
+        self.value = value
+
+    def __call__(self, _machine=None) -> None:
+        value = self.get_value()
+        forced = value | self.mask if self.value else value & ~self.mask
+        if forced != value:
+            self.set_value(forced)
 
 
 class SimulatedTarget(TargetSystemInterface):
@@ -222,8 +239,16 @@ class SimulatedTarget(TargetSystemInterface):
         whether the iteration limit is reached."""
         iteration = self.machine.iteration
         if self._environment is not None:
-            self._environment.exchange(self, iteration)
+            self._exchange(iteration)
         return max_iterations is not None and iteration >= max_iterations
+
+    def _exchange(self, iteration: int) -> None:
+        """The environment's data exchange.  Its writes do not lift a
+        stuck-at fault: each stuck bit is forced again after them."""
+        self._environment.exchange(self, iteration)
+        for hook in self.machine.post_step_hooks:
+            if isinstance(hook, _StuckBit):
+                hook()
 
     # ------------------------------------------------------------------
     # Scan access
@@ -273,17 +298,11 @@ class SimulatedTarget(TargetSystemInterface):
         mask = 1 << location.bit
         machine = self.machine
         if isinstance(model, StuckAt):
-
-            def stuck_hook(_machine) -> None:
-                value = get_value()
-                forced = value | mask if model.value else value & ~mask
-                if forced != value:
-                    set_value(forced)
-
-            stuck_hook(machine)  # the fault is present from the moment of injection
-            machine.post_step_hooks.append(stuck_hook)
+            stuck = _StuckBit(get_value, set_value, mask, model.value)
+            stuck()  # the fault is present from the moment of injection
+            machine.post_step_hooks.append(stuck)
         elif isinstance(model, IntermittentBitFlip):
-            rng = np.random.default_rng(seed)
+            rng = PCG64(seed)
             start_cycle = machine.cycle
 
             def intermittent_hook(inner) -> None:

@@ -154,10 +154,9 @@ class ThorTargetInterface(SimulatedTarget):
         stop_at_cycle: int | None = None,
     ) -> TerminationInfo | None:
         card = self.card
-        env = self._environment
         # TestCard.run makes the environment exchange at each ITER boundary.
-        card.env_exchange = None if env is None else (
-            lambda _card, iteration: env.exchange(self, iteration)
+        card.env_exchange = None if self._environment is None else (
+            lambda _card, iteration: self._exchange(iteration)
         )
         result = card.run(
             TerminationCondition(max_cycles=max_cycles, max_iterations=max_iterations),

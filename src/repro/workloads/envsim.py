@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..pcg64 import PCG64
 from .control import FIXED_POINT_ONE
 
 _WORD_MASK = 0xFFFFFFFF
@@ -303,11 +304,9 @@ class EnvironmentFaultInjector:
     """
 
     def __init__(self, simulator, config: EnvFaultConfig) -> None:
-        import numpy as np
-
         self.simulator = simulator
         self.config = config
-        self._rng = np.random.default_rng(config.seed)
+        self._rng = PCG64(config.seed)
         #: Per-address held-back words for delayed deliveries.
         self._held: dict[int, list[int]] = {}
         #: Injected-fault counters, for tests and reports.
@@ -329,7 +328,7 @@ class EnvironmentFaultInjector:
     def exchange(self, target, iteration: int) -> None:
         config = self.config
         if config.drop_probability > 0.0 and (
-            float(self._rng.random()) < config.drop_probability
+            self._rng.random() < config.drop_probability
         ):
             self.fault_counts["dropped"] += 1
             return
@@ -342,7 +341,7 @@ class EnvironmentFaultInjector:
             words = [words]
         words = list(words)
         if config.delay_probability > 0.0 and (
-            float(self._rng.random()) < config.delay_probability
+            self._rng.random() < config.delay_probability
         ):
             held = self._held.get(address)
             self._held[address] = words
@@ -357,8 +356,8 @@ class EnvironmentFaultInjector:
         if config.corrupt_probability > 0.0:
             corrupted = []
             for word in words:
-                if float(self._rng.random()) < config.corrupt_probability:
-                    bit = int(self._rng.integers(config.word_bits))
+                if self._rng.random() < config.corrupt_probability:
+                    bit = self._rng.integers(config.word_bits)
                     word = int(word) ^ (1 << bit)
                     self.fault_counts["corrupted"] += 1
                 corrupted.append(word)
@@ -367,7 +366,7 @@ class EnvironmentFaultInjector:
             low_mask = (1 << config.partial_bits) - 1
             partial = []
             for offset, word in enumerate(words):
-                if float(self._rng.random()) < config.partial_write_probability:
+                if self._rng.random() < config.partial_write_probability:
                     old = target.read_memory(address + offset, 1)[0]
                     word = (int(old) & ~low_mask) | (int(word) & low_mask)
                     self.fault_counts["partial"] += 1

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from tests.conftest import make_campaign
-from repro.core.campaign import experiment_name
+from repro.core.campaign import ExperimentSpec, PlanGenerator, PlannedFault, experiment_name
 from repro.core.errors import ConfigurationError
 from repro.core.faultmodels import IntermittentBitFlip, StuckAt
+from repro.core.framework import ObservationSpec
+from repro.core.locations import KIND_MEMORY, Location
+from repro.core.triggers import TimeTrigger
 from repro.db import reference_name
+from repro.workloads import load
 
 
 class TestReferenceRun:
@@ -183,6 +189,34 @@ class TestFaultModels:
         )
         result = session.run_campaign("im")
         assert result.experiments_run == 10
+
+    @pytest.mark.parametrize("technique", ["swifi_preruntime", "swifi_runtime"])
+    def test_memory_stuck_at_zero_forces_its_bit(self, session, technique):
+        """A stuck-at-0 memory fault forces its bit for the run: a set
+        bit reads 0 afterwards, a clear one leaves the word unchanged.
+        ``crc32`` only reads its input words, so each keeps its image
+        value in a fault-free run."""
+        program = load("crc32")
+        address, word = program.data_base, program.data[0]
+        assert word & 8 and not word & 1
+        for bit, expected in ((3, word & ~8), (0, word)):
+            name = f"{technique}{bit}"
+            make_campaign(
+                session, name, workload="crc32", technique=technique,
+                locations=("memory:data",), num_experiments=1,
+                fault_model=StuckAt(0),
+                observation=ObservationSpec(memory_ranges=((address, 1),)),
+            )
+            fault = PlannedFault(
+                Location(kind=KIND_MEMORY, address=address, bit=bit),
+                TimeTrigger(0 if technique == "swifi_preruntime" else 1),
+                StuckAt(0),
+            )
+            spec = ExperimentSpec(experiment_name(name, 0), 0, (fault,), 1)
+            with mock.patch.object(PlanGenerator, "generate", lambda _: [spec]):
+                session.run_campaign(name)
+            row = session.db.load_experiment(experiment_name(name, 0))
+            assert row.state_vector["final"]["memory"] == {str(address): expected}
 
 
 class TestDetailMode:

@@ -118,7 +118,10 @@ def run_one_experiment(target_name, workload, technique, pattern, location,
             location_patterns=(pattern,),
             num_experiments=1,
             termination=TERMINATION,
-            observation=ObservationSpec(),
+            observation=ObservationSpec(
+                memory_ranges=((location.address, 1),)
+                if location.kind == KIND_MEMORY else ()
+            ),
             fault_model=model,
             seed=1,
             environment=environment(workload),
@@ -175,3 +178,20 @@ def test_every_accepted_fault_logs_a_terminated_row(target_name, data):
         cycle, model, seed,
     )
     assert row.termination.get("outcome") in OUTCOMES
+    if location.kind == KIND_MEMORY and isinstance(model, StuckAt):
+        # A stuck-at memory fault holds its bit to the end of the run.
+        word = row.state_vector["final"]["memory"][str(location.address)]
+        assert word >> bit & 1 == model.value
+
+
+@pytest.mark.parametrize("technique", ["swifi_preruntime", "swifi_runtime"])
+def test_memory_stuck_at_holds_against_plant_writes(technique):
+    """The plant writes the sensor word at every ITER boundary, the last
+    time after the final instruction: the stuck bit stays forced."""
+    address = load("control_protected").symbol("sensor")
+    for value in (0, 1):
+        row = run_one_experiment(
+            "thor-rd-sim", "control_protected", technique, "memory:data",
+            Location(kind=KIND_MEMORY, address=address, bit=0), 500, StuckAt(value), 3,
+        )
+        assert row.state_vector["final"]["memory"][str(address)] & 1 == value

@@ -3,6 +3,8 @@ simulators."""
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.targets.thor.cpu import StopReason
@@ -440,8 +442,14 @@ class TestPlantSnapshots:
         assert continuations[0] == continuations[1]
         if kind == "faulty_dc_motor":
             assert continuations[0][1]["corrupted"] > 0
-            rng_state = target.environment._rng.bit_generator.state
-            assert rng_state == snapshot["environment"]._rng.bit_generator.state
+            # The restored fault RNG continues the snapshot's stream.
+            live, saved = (
+                copy.deepcopy(env._rng)
+                for env in (target.environment, snapshot["environment"])
+            )
+            assert [live.integers(7) for _ in range(3)] + [live.random()] == [
+                saved.integers(7) for _ in range(3)
+            ] + [saved.random()]
 
         # Mutating the live plant never reaches the cached snapshot.
         target.environment.history.append((-1, 0, 0))

@@ -349,16 +349,17 @@ def classify_campaign(db: GoofiDatabase, campaign_name: str) -> CampaignClassifi
     """Build a campaign's analysis view from its rows' analysis columns
     (one query, no JSON decoded but the reference's)."""
     reference = db.load_experiment(reference_name(campaign_name))
-    rows = db.verdict_rows(campaign_name)
-    for row in rows:
-        if row[1] is None:
+    classifications = db.verdict_rows(campaign_name, Classification)
+    for classification in classifications:
+        if classification.category is None:
             raise AnalysisError(
-                f"experiment {row[0]!r} has no stored classification: its row "
-                f"is malformed or could not be classified when it was stored"
+                f"experiment {classification.experiment_name!r} has no stored "
+                f"classification: its row is malformed or could not be "
+                f"classified when it was stored"
             )
     return CampaignClassification(
         campaign_name,
-        [Classification(*row) for row in rows],
+        classifications,
         ReferenceState.of(reference.state_vector),
         db,
     )

@@ -63,6 +63,7 @@ class WatchModel:
         self.outcomes: Counter[str] = Counter()
         self.pruned = 0
         self.spot_checks = 0
+        self.replayed = 0
         self.rate = 0.0
         self.eta_seconds: float | None = None
         self.elapsed_seconds: float | None = None
@@ -107,6 +108,10 @@ class WatchModel:
                 self.pruned += 1
             if record.get("spot_check"):
                 self.spot_checks += 1
+            if record.get("representative"):
+                # A memo follower: its row was replayed from the run of
+                # the experiment named here.
+                self.replayed += 1
             completed = record.get("completed")
             if completed is not None:
                 self.completed = max(self.completed, completed)
@@ -194,9 +199,10 @@ class WatchModel:
             lines.append("outcomes:")
             for outcome, count in sorted(self.outcomes.items()):
                 lines.append(f"  {outcome:<24} {count}")
-        if self.pruned or self.spot_checks:
+        if self.pruned or self.spot_checks or self.replayed:
             lines.append(
                 f"provenance: {self.pruned} pruned, "
+                f"{self.replayed} replayed, "
                 f"{self.spot_checks} spot-checked"
             )
         if self.phases:

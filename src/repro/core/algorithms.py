@@ -84,7 +84,12 @@ from .liveness import (
     PruneConfig,
     PrunePlan,
     build_prune_plan,
+    executed_schedule,
+    fault_entry,
+    injection_schedule,
     liveness_map,
+    memo_off_reason,
+    replay_row,
     resolve_prune,
 )
 from .locations import KIND_MEMORY, KIND_SCAN
@@ -214,9 +219,10 @@ class _Ingest:
     (:meth:`ReferenceState.row
     <repro.analysis.classify.ReferenceState.row>`), and outcome plus the
     span records, probe summaries and resource samples gathered with it
-    — and every shard closes with one shard-end summary.  Rows are
+    — and every shard closes with one shard-end summary.  A memo
+    follower's result is its replayed row, with no span.  Rows are
     written as they came, never decoded.  Here
-    the spot-check sample is verified, rows and probe summaries are
+    the spot-check samples are verified, rows and probe summaries are
     batched into the database, progress is reported, and the
     observations go out on the event bus: ``experiment_finished``
     records in plan order (so the stream does not depend on the worker
@@ -251,15 +257,21 @@ class _Ingest:
         """Ingest one finished experiment run by ``worker``."""
         name = row[ExperimentRecord.ROW_NAME]
         prune_plan = self.prune_plan
-        spot_checked = prune_plan is not None and name in prune_plan.spot_checks
-        if spot_checked:
-            # Hard-fails with PruneDivergence on mismatch; the confirmed
-            # synthesised row (pruned flag set) is what gets logged.
-            row = prune_plan.verify_spot_check(name, row)
+        pruned = spot_checked = False
+        representative = None
+        if prune_plan is not None:
+            pruned = name in prune_plan.spot_checks
+            spot_checked = pruned or name in prune_plan.replay_checks
+            representative = prune_plan.representative_of.get(name)
+            # Hard-fails with PruneDivergence on mismatch; a spot-check
+            # logs the confirmed synthesised or replayed row.
+            row = prune_plan.confirm(name, row)
         self.rows.append(row)
         self.completed += 1
         event = self.progress.experiment_done(name, outcome)
-        self._held[self._order[name]] = (event, spot_checked, worker)
+        self._held[self._order[name]] = (
+            event, pruned, spot_checked, worker, representative
+        )
         while self._next in self._held:
             self._release(self._held.pop(self._next))
             self._next += 1
@@ -283,16 +295,17 @@ class _Ingest:
             self.flush()
 
     def _release(self, held: tuple) -> None:
-        event, spot_check, worker = held
+        event, pruned, spot_check, worker, representative = held
         self._released += 1
         self.bus.experiment_finished(
             event,
             # A run experiment logs a pruned row only as a confirmed
             # spot-check.
-            pruned=spot_check,
+            pruned=pruned,
             spot_check=spot_check,
             worker=worker,
             completed=self._released,
+            representative=representative,
         )
 
     def release_held(self) -> None:
@@ -362,7 +375,8 @@ class InlineExecutor:
         self.sampler = sampler
 
     def run(
-        self, config, specs, trace, golden, checkpoints: bool, ingest: _Ingest
+        self, config, specs, followers, trace, golden, checkpoints: bool,
+        ingest: _Ingest,
     ) -> None:
         algorithms = self.algorithms
         progress = algorithms.progress
@@ -376,6 +390,7 @@ class InlineExecutor:
                 checkpoints=checkpoints,
                 golden=golden,
                 sampler=self.sampler,
+                followers=followers,
             )
         )
 
@@ -496,6 +511,13 @@ class FaultInjectionAlgorithms:
         instead of its fused fast path (a debugging escape hatch; the
         two engines log bit-identical rows).  The choice is applied to
         this session's target and shipped to any worker processes.
+
+        Experiments with the same faults as executed are simulated once
+        (the fault memo, :meth:`PrunePlan.memoize
+        <repro.core.liveness.PrunePlan.memoize>`): the others' rows are
+        replayed from that run and flagged ``pruned = 2``.  The memo is
+        on unless ``fast=False``, ``probes``, detail logging or declared
+        environment faults turn it off.
 
         ``telemetry`` turns on campaign telemetry (see
         :func:`repro.core.telemetry.resolve_telemetry` for the accepted
@@ -771,6 +793,25 @@ class FaultInjectionAlgorithms:
                 tele.metrics.inc("prune.pruned", len(prune_plan.pruned_specs))
                 tele.metrics.inc("prune.skipped", prune_plan.skipped)
                 tele.metrics.inc("prune.spot_checks", len(prune_plan.spot_checks))
+        memo_off = memo_off_reason(
+            config, fast=fast, probes=self.probe_config is not None
+        )
+        if memo_off:
+            logger.debug("campaign %r: fault memo off — %s", config.name, memo_off)
+        else:
+            # Experiments with the same faults log the same run: one
+            # representative per fault key is simulated.
+            with tele.time("phase.memo"):
+                if prune_plan is None:
+                    prune_plan = PrunePlan.unpruned(remaining)
+                prune_plan.memoize(config, trace)
+            logger.info(
+                "campaign %r: %d experiments replayed from a representative",
+                config.name,
+                prune_plan.replayed,
+            )
+            if tele.enabled:
+                tele.metrics.inc("memo.replayed", prune_plan.replayed)
         golden = None
         if self.probe_config is not None:
             # One extra fault-free pass captures the golden snapshots
@@ -795,10 +836,19 @@ class FaultInjectionAlgorithms:
             # per-experiment deterministic; only DB insertion order
             # changes (the rows are keyed by experiment name).
             remaining = sort_plan_by_first_injection(remaining, trace)
-        if workers > 1 and remaining:
+        # Followers travel with their representative, simulated in plan
+        # order (first-injection order under checkpoints, like the rest).
+        simulated, followers = remaining, {}
+        if prune_plan is not None and prune_plan.followers:
+            followers = prune_plan.followers
+            simulated = [
+                spec for spec in remaining
+                if spec.name not in prune_plan.representative_of
+            ]
+        if workers > 1 and simulated:
             from .parallel import ProcessExecutor
 
-            executor = ProcessExecutor(self, min(workers, len(remaining)), fast)
+            executor = ProcessExecutor(self, min(workers, len(simulated)), fast)
             # Next to worker processes the coordinator's own samples
             # carry its id, the ones already taken included.
             sampler.worker = COORDINATOR_WORKER
@@ -814,6 +864,7 @@ class FaultInjectionAlgorithms:
             planned=len(plan),
             already_logged=len(already_logged),
             pruned=len(prune_plan.pruned_specs) if prune_plan is not None else 0,
+            replayed=prune_plan.replayed if prune_plan is not None else 0,
             to_run=len(remaining),
             workers=executor.workers,
             checkpoints=use_checkpoints,
@@ -837,6 +888,7 @@ class FaultInjectionAlgorithms:
                 pruned=True,
                 spot_check=False,
                 worker=0,
+                representative=None,
             )
         progress.start(config.name, len(remaining))
         bus.emit(
@@ -857,7 +909,9 @@ class FaultInjectionAlgorithms:
         failed = False
         snapshot = None
         try:
-            executor.run(config, remaining, trace, golden, use_checkpoints, ingest)
+            executor.run(
+                config, simulated, followers, trace, golden, use_checkpoints, ingest
+            )
         except BaseException:
             failed = True
             raise
@@ -909,7 +963,7 @@ class FaultInjectionAlgorithms:
             elapsed_seconds=progress.elapsed_seconds,
             checkpoint_stats=ingest.checkpoint_stats,
             telemetry=snapshot,
-            prune=prune_plan.report() if prune_plan is not None else None,
+            prune=prune_plan.report() if self.prune_config is not None else None,
             profile=snapshot.get("profile") if snapshot is not None else None,
             resource_samples=(
                 ingest.samples_seen if self.resource_config is not None else None
@@ -928,6 +982,7 @@ class FaultInjectionAlgorithms:
         golden=None,
         initial=None,
         sampler: ResourceSampler,
+        followers=None,
     ) -> dict:
         """Run ``specs`` in this process — the experiment loop of both
         executors.
@@ -938,7 +993,13 @@ class FaultInjectionAlgorithms:
         <repro.analysis.classify.ReferenceState.row>`), and termination
         outcome plus the span records, probe summaries and resource
         samples gathered with it; ``should_stop()`` is checked
-        before each experiment.  ``checkpoints`` gives the shard its own
+        before each experiment.  ``followers`` maps a spec's name to
+        its memo followers, ``(spec, check)`` pairs
+        (:meth:`PrunePlan.memoize
+        <repro.core.liveness.PrunePlan.memoize>`): right after the
+        spec, each follower is sent its replayed row
+        (:func:`~repro.core.liveness.replay_row`) with no span, or, when
+        checked, is simulated too.  ``checkpoints`` gives the shard its own
         checkpoint cache (pre-seeded at cycle 0 with ``initial``, an
         armed fault-free image, when one is given); ``golden`` turns on
         probing against those snapshots; ``sampler`` takes the cadence
@@ -973,13 +1034,37 @@ class FaultInjectionAlgorithms:
                     break
                 record = run_experiment(config, spec, trace)
                 sampler.maybe_sample()
+                row = make_row(record)
+                outcome = record.state_vector["termination"]["outcome"]
                 send(
-                    make_row(record),
-                    record.state_vector["termination"]["outcome"],
+                    row,
+                    outcome,
                     tele.drain_spans(),
                     probes.drain() if probes is not None else None,
                     sampler.drain(),
                 )
+                group = followers.get(spec.name) if followers else None
+                if not group:
+                    continue
+                applied = [
+                    entry["applied"] for entry in record.experiment_data["faults"]
+                ]
+                for follower, check in group:
+                    if check:
+                        checked = run_experiment(config, follower, trace)
+                        send(
+                            make_row(checked),
+                            checked.state_vector["termination"]["outcome"],
+                            tele.drain_spans(),
+                            None,
+                            sampler.drain(),
+                        )
+                    else:
+                        schedule = executed_schedule(config, follower, trace)
+                        send(
+                            replay_row(config, follower, schedule, row, applied),
+                            outcome, (), None, (),
+                        )
         finally:
             if collector is not None:
                 collector.stop()
@@ -1083,7 +1168,7 @@ class FaultInjectionAlgorithms:
         """One SCIFI experiment: the inner loop of Figure 2."""
         target = self.target
         span = self.telemetry.span(spec.name)
-        schedule = self._injection_schedule(spec, trace)
+        schedule = injection_schedule(spec, trace)
         probe = self._observe(spec, schedule)
         self._arm_target(config, schedule, span)
         armed_cycle = 0 if span is NULL_SPAN else target.current_cycle()
@@ -1099,12 +1184,12 @@ class FaultInjectionAlgorithms:
             if position == 0 and ended_early is None:
                 self._save_checkpoint(cycle, span)
             if ended_early is not None:
-                applied.append(self._fault_entry(fault, cycle, applied_flag=False))
+                applied.append(fault_entry(fault, cycle, False))
                 continue
             with span.phase("injection"):
                 self._apply_fault(fault, spec.seed)
             span.add("injections")
-            applied.append(self._fault_entry(fault, cycle, applied_flag=True))
+            applied.append(fault_entry(fault, cycle, True))
 
         return self._finish_experiment(
             config, spec, applied, ended_early, span, armed_cycle, probe
@@ -1127,7 +1212,7 @@ class FaultInjectionAlgorithms:
                         f"pre-runtime SWIFI cannot inject into {location.label()}"
                     )
                 self._apply_fault(fault, spec.seed)
-                applied.append(self._fault_entry(fault, 0, applied_flag=True))
+                applied.append(fault_entry(fault, 0, True))
         span.add("injections", len(applied))
         target.run_workload()
         armed_cycle = 0 if span is NULL_SPAN else target.current_cycle()
@@ -1144,7 +1229,7 @@ class FaultInjectionAlgorithms:
         debugger link, then resume."""
         target = self.target
         span = self.telemetry.span(spec.name)
-        schedule = self._injection_schedule(spec, trace)
+        schedule = injection_schedule(spec, trace)
         probe = self._observe(spec, schedule)
         self._arm_target(config, schedule, span)
         armed_cycle = 0 if span is NULL_SPAN else target.current_cycle()
@@ -1160,7 +1245,7 @@ class FaultInjectionAlgorithms:
             if position == 0 and ended_early is None:
                 self._save_checkpoint(cycle, span)
             if ended_early is not None:
-                applied.append(self._fault_entry(fault, cycle, applied_flag=False))
+                applied.append(fault_entry(fault, cycle, False))
                 continue
             with span.phase("injection"):
                 location = fault.location
@@ -1172,7 +1257,7 @@ class FaultInjectionAlgorithms:
                         f"not {location.label()}"
                     )
             span.add("injections")
-            applied.append(self._fault_entry(fault, cycle, applied_flag=True))
+            applied.append(fault_entry(fault, cycle, True))
 
         return self._finish_experiment(
             config, spec, applied, ended_early, span, armed_cycle, probe
@@ -1191,15 +1276,6 @@ class FaultInjectionAlgorithms:
             return None
         first_injection = schedule[0][0] if schedule else 0
         return probes.observe(spec.name, spec.index, first_injection)
-    @staticmethod
-    def _injection_schedule(
-        spec: ExperimentSpec, trace: ReferenceTrace
-    ) -> list[tuple[int, PlannedFault]]:
-        """Resolve every fault's trigger against the reference trace and
-        order the injections by time."""
-        schedule = [(fault.trigger.resolve(trace), fault) for fault in spec.faults]
-        schedule.sort(key=lambda item: item[0])
-        return schedule
 
     def _apply_fault(self, fault: PlannedFault, seed: int) -> None:
         """Overlay installation for permanent and intermittent models;
@@ -1218,13 +1294,6 @@ class FaultInjectionAlgorithms:
             target.write_scan_chain(location.chain)
         else:
             raise TargetError(f"cannot inject into {location.label()}")
-
-    @staticmethod
-    def _fault_entry(fault: PlannedFault, cycle: int, applied_flag: bool) -> dict:
-        entry = fault.to_dict()
-        entry["injection_cycle"] = cycle
-        entry["applied"] = applied_flag
-        return entry
 
     def _finish_experiment(
         self,

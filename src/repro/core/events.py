@@ -236,12 +236,15 @@ class EventBus:
         spot_check: bool = False,
         worker: int = 0,
         completed: int | None = None,
+        representative: str | None = None,
     ) -> dict:
         """The per-experiment record, built from a
         :class:`~repro.core.progress.ProgressEvent` (which carries the
         rolling rate/ETA).  ``completed`` overrides the progress
         counter when the coordinator releases buffered events in plan
-        order (arrival order and release order differ there)."""
+        order (arrival order and release order differ there).
+        ``representative`` names the experiment whose run a memo
+        follower's row was replayed from (``None`` for any other)."""
         return self.emit(
             "experiment_finished",
             campaign=progress_event.campaign_name,
@@ -261,6 +264,7 @@ class EventBus:
             pruned=pruned,
             spot_check=spot_check,
             worker=worker,
+            representative=representative,
         )
 
     def close(self) -> None:

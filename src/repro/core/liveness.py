@@ -50,11 +50,27 @@ one of these holds:
   environment-boundary faults (those make even an unaffected experiment
   differ from the clean reference).
 
+The same plan carries the **fault memo**: experiments whose faults are
+the same as executed are simulated once.  An experiment's key is its
+injection schedule — ``(cycle, element, bit, model)`` per fault, in
+injection order, a pre-runtime fault at cycle 0 (:func:`fault_key`).  A
+target run is a function of that key alone, so the first experiment of
+each key in plan order is simulated (its *representative*) and every
+other one (a *follower*) gets the representative's state vector and
+verdict with its own ``experimentData`` (:func:`replay_row`), logged
+with ``pruned`` = :data:`~repro.db.models.REPLAYED`.  The memo is on by
+default and off (:func:`memo_off_reason`) on the reference engine
+(``fast=False``), under probes, in detail logging, with declared
+environment-boundary faults, for technique bodies other than the
+built-in ones, and per experiment for intermittent faults, which draw
+from the experiment seed.
+
 The safety net: ``--prune=RATE`` re-simulates a seeded random sample of
-the pruned experiments and hard-fails the campaign
-(:class:`PruneDivergence`) if any simulated row differs from its
-synthesised prediction.  ``--prune=1.0`` re-simulates everything — the
-bit-identical equivalence bar used by the test suite and benchmark.
+the pruned experiments, and of the followers, and hard-fails the
+campaign (:class:`PruneDivergence`) if any simulated row differs from
+its synthesised or replayed prediction.  ``--prune=1.0`` re-simulates
+everything — the bit-identical equivalence bar used by the test suite
+and benchmark.
 """
 
 from __future__ import annotations
@@ -66,7 +82,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from ..analysis.classify import ReferenceState
-from ..db import ExperimentRecord
+from ..db import ExperimentRecord, utc_now
+from ..db.models import REPLAYED
 from .campaign import (
     LOGGING_NORMAL,
     TECHNIQUE_SWIFI_PRERUNTIME,
@@ -75,8 +92,9 @@ from .campaign import (
     PlannedFault,
 )
 from .errors import ConfigurationError, GoofiError
-from .faultmodels import is_transient
+from .faultmodels import IntermittentBitFlip, is_transient
 from .locations import KIND_MEMORY, KIND_SCAN, LocationSpace
+from .plugins import technique_method
 from .triggers import ReferenceTrace
 
 #: Fraction of pruned experiments re-simulated by default when
@@ -84,10 +102,20 @@ from .triggers import ReferenceTrace
 DEFAULT_SPOT_CHECK_RATE = 0.1
 
 
+#: The experiment bodies whose row is a function of the fault key.
+_MEMO_BODIES = frozenset(
+    {
+        "_run_scifi_experiment",
+        "_run_swifi_preruntime_experiment",
+        "_run_swifi_runtime_experiment",
+    }
+)
+
+
 class PruneDivergence(GoofiError):
-    """A spot-checked pruned experiment did not match its synthesised
-    prediction — the classifier is wrong for this campaign and the run
-    must not be trusted."""
+    """A spot-checked pruned experiment or memo follower did not match
+    its synthesised or replayed prediction — the classifier or the memo
+    is wrong for this campaign and the run must not be trusted."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +171,35 @@ def resolve_prune(value) -> PruneConfig | None:
 # Liveness primitives
 # ----------------------------------------------------------------------
 _CYCLE = itemgetter(0)
+
+
+def injection_schedule(
+    spec: ExperimentSpec, trace: ReferenceTrace
+) -> list[tuple[int, PlannedFault]]:
+    """Every fault's trigger resolved against the reference trace, in
+    injection order (plan order among equal cycles)."""
+    schedule = [(fault.trigger.resolve(trace), fault) for fault in spec.faults]
+    schedule.sort(key=_CYCLE)
+    return schedule
+
+
+def fault_entry(fault: PlannedFault, cycle: int, applied: bool) -> dict:
+    """One fault as ``experimentData`` records it: the planned fault, its
+    injection cycle, and whether it was applied."""
+    entry = fault.to_dict()
+    entry["injection_cycle"] = cycle
+    entry["applied"] = applied
+    return entry
+
+
+def executed_schedule(
+    config: CampaignConfig, spec: ExperimentSpec, trace: ReferenceTrace
+) -> list[tuple[int, PlannedFault]]:
+    """The injections as the experiment body makes them: pre-runtime
+    SWIFI corrupts the image before the run, at cycle 0 in plan order."""
+    if config.technique == TECHNIQUE_SWIFI_PRERUNTIME:
+        return [(0, fault) for fault in spec.faults]
+    return injection_schedule(spec, trace)
 
 
 def first_event_at_or_after(
@@ -332,15 +389,10 @@ def synthesize_record(
     capture names it) when the observation captures that register.  The
     final state is otherwise the reference's own object — shared, not
     copied."""
-    schedule = [(fault.trigger.resolve(trace), fault) for fault in spec.faults]
-    schedule.sort(key=lambda item: item[0])
     applied = []
     flips: dict[str, int] = {}
-    for cycle, fault in schedule:
-        entry = fault.to_dict()
-        entry["injection_cycle"] = cycle
-        entry["applied"] = True
-        applied.append(entry)
+    for cycle, fault in injection_schedule(spec, trace):
+        applied.append(fault_entry(fault, cycle, True))
         location = fault.location
         register = (
             _register_of(location.element) if location.kind == KIND_SCAN else None
@@ -413,18 +465,114 @@ class _StateEncoder:
         return self.head + json.dumps(final["scan"], sort_keys=True) + self.tail
 
 
+# ----------------------------------------------------------------------
+# The fault memo
+# ----------------------------------------------------------------------
+def memo_off_reason(config: CampaignConfig, *, fast: bool, probes: bool) -> str:
+    """Why no experiment of this run may be replayed, or ``""`` when the
+    memo is on."""
+    if not fast:
+        return "the reference engine (fast=False) simulates every experiment"
+    if probes:
+        return "probes observe each experiment's own run"
+    if config.logging_mode != LOGGING_NORMAL:
+        return "detail logging is left to simulation"
+    if config.environment is not None and config.environment.get("faults"):
+        return "declared environment-boundary faults are left to simulation"
+    if technique_method(config.technique) not in _MEMO_BODIES:
+        return f"technique {config.technique!r} has its own experiment body"
+    return ""
+
+
+def fault_key(
+    config: CampaignConfig, spec: ExperimentSpec, trace: ReferenceTrace
+) -> tuple | None:
+    """The memo key of ``spec``: ``(cycle, element, bit, model)`` per
+    fault of its executed schedule.  ``None`` — never replayed — for an
+    intermittent fault, which draws from the experiment seed, and for a
+    trigger that does not resolve (the experiment body reports that)."""
+    if any(isinstance(fault.model, IntermittentBitFlip) for fault in spec.faults):
+        return None
+    try:
+        schedule = executed_schedule(config, spec, trace)
+    except ConfigurationError:
+        return None
+    return tuple(
+        (cycle, fault.location.element_key, fault.location.bit, fault.model)
+        for cycle, fault in schedule
+    )
+
+
+def replay_row(
+    config: CampaignConfig,
+    spec: ExperimentSpec,
+    schedule: list[tuple[int, PlannedFault]],
+    row: tuple,
+    applied: list[bool],
+) -> tuple:
+    """Follower ``spec``'s stored row from its representative's ``row``:
+    the representative's state vector text and verdict, with the
+    follower's own ``experimentData`` (its faults as ``schedule``
+    executes them, each ``applied`` as the representative's was), fault
+    columns and ``createdAt``, flagged :data:`~repro.db.models.REPLAYED`."""
+    faults = [
+        fault_entry(fault, cycle, was_applied)
+        for (cycle, fault), was_applied in zip(schedule, applied)
+    ]
+    data = json.dumps(
+        {
+            "technique": config.technique,
+            "index": spec.index,
+            "seed": spec.seed,
+            "faults": faults,
+        },
+        sort_keys=True,
+    )
+    first = (
+        (schedule[0][1].location.element_key, schedule[0][0])
+        if schedule
+        else (None, None)
+    )
+    verdict = ExperimentRecord.ROW_VERDICT
+    return (
+        spec.name, None, config.name, data, row[ExperimentRecord.ROW_STATE],
+        utc_now(), REPLAYED, *row[verdict : verdict + 5], *first,
+    )
+
+
+def _diverging_parts(expected: tuple, simulated: tuple) -> list[str]:
+    """The compared parts in which two stored rows differ: the JSON
+    payloads and the analysis columns, never the provenance columns
+    (timestamps, the ``pruned`` flag)."""
+    verdict = ExperimentRecord.ROW_VERDICT
+    return [
+        part
+        for part, differs in (
+            ("experiment data",
+             expected[ExperimentRecord.ROW_DATA] != simulated[ExperimentRecord.ROW_DATA]),
+            ("state vector",
+             expected[ExperimentRecord.ROW_STATE] != simulated[ExperimentRecord.ROW_STATE]),
+            ("analysis columns", expected[verdict:] != simulated[verdict:]),
+        )
+        if differs
+    ]
+
+
 @dataclass(slots=True)
 class PrunePlan:
     """The partition of one campaign plan: experiments to simulate,
-    experiments to synthesise, and the spot-check sample bridging the
-    two."""
+    experiments whose rows are synthesised (pruned), experiments whose
+    rows are replayed from a representative's simulation (memo
+    followers), and the spot-check samples bridging them."""
 
-    config: PruneConfig
+    #: ``None`` when the run has the memo without ``--prune``.
+    config: PruneConfig | None
     planned: int
     #: Specs whose rows are synthesised.
     pruned_specs: list[ExperimentSpec]
-    #: Specs the engines actually simulate: every unprunable spec plus
-    #: the spot-check sample, in original plan order.
+    #: Specs whose rows the executors log: every unprunable spec plus
+    #: the spot-check sample, in original plan order.  The followers
+    #: among them travel with their representative.
     to_run: list[ExperimentSpec]
     #: Names of pruned specs that are re-simulated for verification.
     spot_checks: set[str]
@@ -438,11 +586,30 @@ class PrunePlan:
     #: Why nothing was pruned, when the classifier was disabled.
     disabled_reason: str = ""
     divergences: int = 0
+    #: Each representative's followers in plan order, by representative
+    #: name, as ``(spec, check)``: a checked follower is simulated too
+    #: and its row verified against the replay (:meth:`confirm`).
+    followers: dict[str, list[tuple[ExperimentSpec, bool]]] = field(
+        default_factory=dict
+    )
+    #: The representative of each follower, by follower name.
+    representative_of: dict[str, str] = field(default_factory=dict)
+    #: Checked followers, by name, with their executed schedules.
+    replay_checks: dict[str, tuple] = field(default_factory=dict)
+    #: The rows of representatives with checked followers, by name,
+    #: held (from their arrival) until those followers arrive.
+    _held: dict[str, tuple | None] = field(default_factory=dict)
+    _campaign: CampaignConfig | None = None
 
     @property
     def skipped(self) -> int:
         """Simulations actually avoided."""
         return len(self.pruned_specs) - len(self.spot_checks)
+
+    @property
+    def replayed(self) -> int:
+        """Followers whose rows are replayed without a simulation."""
+        return len(self.representative_of) - len(self.replay_checks)
 
     def upfront_records(self) -> list[tuple]:
         """Encoded synthesised rows safe to persist before the loop runs
@@ -455,24 +622,88 @@ class PrunePlan:
             if spec.name not in self.spot_checks
         ]
 
+    @classmethod
+    def unpruned(cls, specs: list[ExperimentSpec]) -> "PrunePlan":
+        """The plan of a run without ``--prune``: every spec to run."""
+        return cls(
+            config=None, planned=len(specs), pruned_specs=[], to_run=list(specs),
+            spot_checks=set(), rows={},
+        )
+
+    def memoize(self, config: CampaignConfig, trace: ReferenceTrace) -> None:
+        """Group the specs to run by :func:`fault_key`: the first of each
+        key in plan order stays to be simulated, the rest become its
+        followers.  Under ``--prune=RATE`` a seeded sample of the
+        followers, at the spot-check rate, is simulated as well and
+        verified against the replay.  Pruned spot-checks stay apart:
+        they verify the classifier."""
+        self._campaign = config
+        check_rate = self.config.spot_check_rate if self.config is not None else 0.0
+        rng = random.Random(f"{config.seed}/memo")
+        first: dict[tuple, str] = {}
+        for spec in self.to_run:
+            if spec.name in self.spot_checks:
+                continue
+            key = fault_key(config, spec, trace)
+            if key is None:
+                continue
+            representative = first.setdefault(key, spec.name)
+            if representative == spec.name:
+                continue
+            check = check_rate > 0 and rng.random() < check_rate
+            self.followers.setdefault(representative, []).append((spec, check))
+            self.representative_of[spec.name] = representative
+            if check:
+                self.replay_checks[spec.name] = (
+                    spec, executed_schedule(config, spec, trace)
+                )
+                self._held[representative] = None
+
+    def confirm(self, name: str, row: tuple) -> tuple:
+        """The row to log for the executed experiment ``name``, arriving
+        as ``row``: a spot-checked pruned experiment's synthesised row,
+        a checked follower's replayed row — each once the simulation
+        confirmed it — or ``row`` itself.  A representative's row is
+        held for its checked followers, which its executor runs after
+        it.  Hard-fails the campaign with :class:`PruneDivergence` on any
+        difference."""
+        if name in self.spot_checks:
+            return self.verify_spot_check(name, row)
+        check = self.replay_checks.get(name)
+        if check is None:
+            if name in self._held:
+                self._held[name] = row
+            return row
+        spec, schedule = check
+        representative = self.representative_of[name]
+        held = self._held[representative]
+        applied = [
+            entry["applied"]
+            for entry in json.loads(held[ExperimentRecord.ROW_DATA])["faults"]
+        ]
+        expected = replay_row(self._campaign, spec, schedule, held, applied)
+        parts = _diverging_parts(expected, row)
+        if parts:
+            self.divergences += 1
+            raise PruneDivergence(
+                f"spot-check of memo follower {name!r} diverged from the "
+                f"replay of {representative!r} ({' and '.join(parts)} "
+                f"differ); the fault memo is unsound for this campaign — "
+                f"rerun with --no-fast and report the campaign configuration"
+            )
+        return expected
+
     def verify_spot_check(self, name: str, simulated: tuple) -> tuple:
-        """Compare a spot-check simulation's encoded row
-        (:meth:`ExperimentRecord.to_row`) against its synthesised
-        prediction; return the (confirmed) synthesised row, encoded, to
-        log, or hard-fail the campaign on divergence.
+        """Compare a spot-check simulation's stored row against its
+        synthesised prediction; return the (confirmed) synthesised row
+        to log, or hard-fail the campaign on divergence.
 
         Bit-identity is on the JSON payloads, ``experimentData`` and
-        ``stateVector``; the provenance columns — timestamps, the
-        ``pruned`` flag — are deliberately outside the comparison."""
+        ``stateVector``, and the analysis columns; the provenance
+        columns — timestamps, the ``pruned`` flag — are deliberately
+        outside the comparison."""
         expected = self.rows[name]
-        parts = [
-            part
-            for part, column in (
-                ("experiment data", ExperimentRecord.ROW_DATA),
-                ("state vector", ExperimentRecord.ROW_STATE),
-            )
-            if expected[column] != simulated[column]
-        ]
+        parts = _diverging_parts(expected, simulated)
         if parts:
             self.divergences += 1
             raise PruneDivergence(
@@ -493,6 +724,8 @@ class PrunePlan:
             "skipped": self.skipped,
             "spot_checks": len(self.spot_checks),
             "spot_check_rate": self.config.spot_check_rate,
+            "replayed": self.replayed,
+            "replay_checks": len(self.replay_checks),
             "divergences": self.divergences,
             "disabled_reason": self.disabled_reason or None,
         }

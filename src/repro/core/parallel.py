@@ -77,6 +77,7 @@ def _worker_main(
     algorithms_cls,
     config,
     specs,
+    followers,
     result_queue,
     abort_event,
     trace,
@@ -93,7 +94,8 @@ def _worker_main(
 ):
     """Run one shard of the plan (``specs``, the coordinator's
     :class:`~repro.core.campaign.ExperimentSpec` objects, of campaign
-    ``config``) and stream results back.
+    ``config``, with the memo ``followers`` of those specs) and stream
+    results back.
 
     Two messages, both ``(kind, worker_id, payload)`` tuples:
 
@@ -177,6 +179,7 @@ def _worker_main(
             golden=golden,
             initial=initial,
             sampler=sampler,
+            followers=followers,
         )
         sampler.sample("shard_end")
         sampler.fold_into(tele.metrics)
@@ -209,7 +212,9 @@ class ProcessExecutor:
         self.workers = workers
         self.fast = fast
 
-    def run(self, config, specs, trace, golden, checkpoints: bool, ingest) -> None:
+    def run(
+        self, config, specs, followers, trace, golden, checkpoints: bool, ingest
+    ) -> None:
         algorithms = self.algorithms
         tele = algorithms.telemetry
         bus = algorithms.events
@@ -231,6 +236,16 @@ class ProcessExecutor:
         # Round-robin sharding keeps the shards balanced even when
         # experiment cost correlates with plan position.
         shards = [specs[start :: self.workers] for start in range(self.workers)]
+        # Each representative's followers go to the worker simulating it.
+        shard_followers = [
+            {spec.name: followers[spec.name] for spec in shard if spec.name in followers}
+            for shard in shards
+        ]
+        logged = [
+            len(shard) + sum(map(len, group.values()))
+            for shard, group in zip(shards, shard_followers)
+        ]
+        expected = sum(logged)
         processes = [
             context.Process(
                 target=_worker_main,
@@ -239,6 +254,7 @@ class ProcessExecutor:
                     type(algorithms),
                     config,
                     shard,
+                    shard_followers[worker_id],
                     result_queue,
                     abort_event,
                     trace,
@@ -260,7 +276,7 @@ class ProcessExecutor:
         logger.info(
             "campaign %r: sharding %d experiments over %d workers",
             config.name,
-            len(specs),
+            expected,
             self.workers,
         )
         if context.get_start_method() == "fork":
@@ -279,7 +295,7 @@ class ProcessExecutor:
                 "worker_started",
                 campaign=config.name,
                 worker=worker_id,
-                experiments=len(shards[worker_id]),
+                experiments=logged[worker_id],
             )
         failures: list[str] = []
         received = 0
@@ -325,13 +341,13 @@ class ProcessExecutor:
                     failures.append(f"worker {worker_id} failed:\n{error}")
                     bus.emit("worker_failed", campaign=config.name, worker=worker_id)
                     abort_event.set()
-            if not progress.abort_requested and not failures and received < len(specs):
+            if not progress.abort_requested and not failures and received < expected:
                 # Every worker ended cleanly yet results are missing: a
                 # crash slipped past the per-worker error reporting.
                 # Never let that pass as a clean exit.
                 failures.append(
                     f"workers drained cleanly but only {received} of "
-                    f"{len(specs)} sharded experiments reported results"
+                    f"{expected} sharded experiments reported results"
                 )
         finally:
             abort_event.set()

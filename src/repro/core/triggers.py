@@ -17,7 +17,6 @@ arming them via the scan chains.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -308,11 +307,3 @@ def cycles_in_window(trace: ReferenceTrace, start: int, end: int) -> tuple[int, 
             f"run of {trace.duration} cycles"
         )
     return lo, hi
-
-
-def nearest_access_after(trace: ReferenceTrace, address: int, cycle: int) -> int | None:
-    """First access of ``address`` at or after ``cycle`` (used by the
-    pre-injection analysis to reason about fault activation)."""
-    cycles = trace.access_cycles(address)
-    index = bisect_left(cycles, cycle)
-    return cycles[index] if index < len(cycles) else None

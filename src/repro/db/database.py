@@ -467,13 +467,16 @@ class GoofiDatabase:
         for row in cur:
             yield ExperimentRecord.from_row(row)
 
-    def verdict_rows(self, campaign_name: str) -> list[tuple]:
+    def verdict_rows(self, campaign_name: str, make: Callable) -> list:
         """The analysis columns of a campaign's experiments, its
         reference row left out, in insertion order: one
-        ``(experimentName, category, mechanism, escapeKind, outcome,
-        terminationCycle, faultElement, faultCycle)`` tuple per row,
-        read without decoding any JSON."""
-        return self._conn.execute(
+        ``make(experimentName, category, mechanism, escapeKind, outcome,
+        terminationCycle, faultElement, faultCycle)`` per row, read
+        without decoding any JSON.  Each record is made as its row is
+        read, so no intermediate tuple outlives its row."""
+        cursor = self._conn.cursor()
+        cursor.row_factory = lambda _cursor, row: make(*row)
+        return cursor.execute(
             f"SELECT experimentName, {_VERDICT_COLUMNS} FROM LoggedSystemState "
             "WHERE campaignName = ? AND experimentName != ? ORDER BY rowid",
             (campaign_name, reference_name(campaign_name)),

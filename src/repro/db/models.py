@@ -26,6 +26,13 @@ def utc_now() -> str:
 encode_span = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
+#: Values of the ``LoggedSystemState.pruned`` provenance column besides
+#: 0 (simulated): a row synthesised from the reference run by liveness
+#: pruning, and a row replayed from the simulation of another experiment
+#: with the same faults (the fault memo, :mod:`repro.core.liveness`).
+PRUNED, REPLAYED = 1, 2
+
+
 @dataclass(slots=True)
 class TargetSystemRecord:
     """One row of ``TargetSystemData``."""
@@ -105,7 +112,10 @@ class ExperimentRecord:
     (:mod:`repro.core.liveness`) instead of simulated.  It is stored in
     its own column — not inside the JSON payloads — so a pruned row's
     ``experiment_data``/``state_vector`` stay byte-identical to what a
-    full simulation would have logged.
+    full simulation would have logged.  The column holds :data:`PRUNED`
+    for such a row; a memo follower's row, which the coordinator never
+    builds as a record, holds :data:`REPLAYED` and loads with ``pruned``
+    false.
 
     :meth:`to_row` encodes these fields only.  A stored row also carries
     its analysis columns, which the classifier appends
@@ -121,8 +131,9 @@ class ExperimentRecord:
     pruned: bool = False
 
     #: Positions in :meth:`to_row` of the name and the two JSON payloads
-    #: (``experimentData``, ``stateVector``).
-    ROW_NAME, ROW_DATA, ROW_STATE = 0, 3, 4
+    #: (``experimentData``, ``stateVector``), and in a stored row of the
+    #: first analysis column (``category``).
+    ROW_NAME, ROW_DATA, ROW_STATE, ROW_VERDICT = 0, 3, 4, 7
 
     @property
     def termination(self) -> dict:
@@ -155,7 +166,7 @@ class ExperimentRecord:
             state_vector=json.loads(state_json),
             parent_experiment=parent,
             created_at=created,
-            pruned=bool(pruned),
+            pruned=pruned == PRUNED,
         )
 
 

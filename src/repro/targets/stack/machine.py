@@ -284,30 +284,6 @@ class StackMachine:
             object.__setattr__(inst, "handler", handler)
         return handler(self, inst)
 
-    @staticmethod
-    def _binary(op: SOp, a: int, b: int) -> int:
-        if op is SOp.ADD:
-            return a + b
-        if op is SOp.SUB:
-            return a - b
-        if op is SOp.MUL:
-            return _signed(a) * _signed(b)
-        if op is SOp.DIV:
-            if _signed(b) == 0:
-                raise _Detected("arithmetic", "DIV by zero")
-            return int(_signed(a) / _signed(b))
-        if op is SOp.AND:
-            return a & b
-        if op is SOp.OR:
-            return a | b
-        if op is SOp.XOR:
-            return a ^ b
-        if op is SOp.LT:
-            return 1 if _signed(a) < _signed(b) else 0
-        if op is SOp.EQ:
-            return 1 if a == b else 0
-        raise AssertionError(op)  # pragma: no cover
-
     def run(self, max_cycles: int, stop_at_cycle: int | None = None) -> str:
         """Run to a terminal condition; mirrors the Thor CPU contract.
 

@@ -210,6 +210,14 @@ class Cache:
         line._data = value & WORD_MASK
         line._dirty = True
 
+    def holding(self, address: int) -> CacheLine | None:
+        """The line caching ``address``, or ``None`` when it is not
+        cached."""
+        line = self.lines[address & self._index_mask]
+        if line._valid and line._tag == (address >> self._index_bits) & 0xFFFF:
+            return line
+        return None
+
     def snoop_invalidate(self, address: int) -> None:
         """Invalidate the line holding ``address``, if present.
 
@@ -218,10 +226,18 @@ class Cache:
         simulator, SWIFI injector) has just rewritten — the coherence a
         real DMA-capable test card provides.
         """
-        line = self.lines[address & self._index_mask]
-        if line._valid and line._tag == (address >> self._index_bits) & 0xFFFF:
+        line = self.holding(address)
+        if line is not None:
             line._valid = 0
             line._dirty = True  # parity follows the payload again
+
+    def update(self, address: int, value: int) -> None:
+        """Write ``value`` into the line holding ``address``, parity in
+        step, when the word is cached; allocate nothing."""
+        line = self.holding(address)
+        if line is not None:
+            line._data = value & WORD_MASK
+            line._dirty = True
 
     def invalidate(self) -> None:
         """Flush the cache (target re-initialisation)."""

@@ -15,8 +15,6 @@ tool "analyses the workload code".
 
 from __future__ import annotations
 
-from functools import partial
-
 from ...core.errors import TargetError
 from ...core.framework import TerminationInfo
 from ...core.locations import MemoryRegionInfo
@@ -169,8 +167,23 @@ class ThorTargetInterface(SimulatedTarget):
         return None if detection is None else detection.to_dict()
 
     def _memory_word(self, address: int):
-        memory = self.machine.memory
-        return partial(memory.host_read, address), partial(memory.host_write, address)
+        """The word as the CPU sees it: a read takes the data cache's
+        copy when the word is cached, and a write lands in memory and in
+        each cached copy.  Invalidating a cached copy instead would drop
+        data only the cache holds."""
+        cpu = self.machine
+        memory, dcache, icache = cpu.memory, cpu.dcache, cpu.icache
+
+        def get_word() -> int:
+            line = dcache.holding(address)
+            return memory.host_read(address) if line is None else line.data
+
+        def set_word(value: int) -> None:
+            memory.host_write(address, value)
+            dcache.update(address, value)
+            icache.update(address, value)
+
+        return get_word, set_word
 
     def _trace_hooks(self, instructions: list, mem_accesses: list, reg_accesses: list):
         def trace_hook(cycle: int, pc: int, inst: Instruction) -> None:

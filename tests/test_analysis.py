@@ -271,6 +271,7 @@ class TestLazyPropagationImport:
         """``repro.analysis.propagation`` pulls in networkx (~0.2 s) —
         every ``goofi run`` would pay that if the package imported it
         eagerly.  It must load only when a propagation name is touched."""
+        import os
         import subprocess
         import sys
         from pathlib import Path
@@ -289,7 +290,7 @@ class TestLazyPropagationImport:
         )
         subprocess.run(
             [sys.executable, "-c", script], check=True,
-            env={"PYTHONPATH": str(source_root)},
+            env={**os.environ, "PYTHONPATH": str(source_root)},
         )
 
     def test_lazy_names_still_exported(self):

@@ -195,3 +195,66 @@ def test_memory_stuck_at_holds_against_plant_writes(technique):
             Location(kind=KIND_MEMORY, address=address, bit=0), 500, StuckAt(value), 3,
         )
         assert row.state_vector["final"]["memory"][str(address)] & 1 == value
+
+
+def never_written_words(workload: str) -> list[int]:
+    """Data words of ``workload`` that neither its program (per the
+    reference trace) nor its plant writes."""
+    with GoofiSession(target_name="thor-rd-sim") as session:
+        target = session.target
+        target.init_test_card()
+        target.set_environment(None)
+        target.load_workload(workload)
+        _, trace = target.record_trace(TERMINATION)
+        regions = target.location_space().memory_regions
+    written = {address for _, kind, address in trace.mem_accesses if kind == "write"}
+    plant = environment(workload)
+    if plant is not None:
+        written.add(plant["params"]["sensor_addr"])
+    return [
+        address
+        for region in regions
+        if region.name != "program"
+        for address in range(region.base, region.limit)
+        if address not in written
+    ]
+
+
+def assert_stuck_at_matches_flip(workload: str, address: int, bit: int, cycle: int):
+    """A runtime stuck-at to the flipped value of a never-written word
+    logs what a transient flip of that bit at the same cycle logs."""
+    program = load(workload)
+    value = program.data[address - program.data_base] >> bit & 1
+    location = Location(kind=KIND_MEMORY, address=address, bit=bit)
+    rows = [
+        run_one_experiment("thor-rd-sim", workload, "swifi_runtime", "memory:data",
+                           location, cycle, model, 1)
+        for model in (TransientBitFlip(), StuckAt(1 - value))
+    ]
+    flip, stuck = (row.state_vector for row in rows)
+    assert stuck["final"].get("outputs") == flip["final"].get("outputs")
+    assert stuck == flip
+
+
+def test_memory_stuck_at_sees_the_cached_copy():
+    """``matmul``'s input word 0x4001 sits in the data cache from its
+    first read (cycle 32) on: a stuck-at installed at cycle 33 must
+    reach the CPU's next reads of it, as the flip does."""
+    assert 0x4001 in never_written_words("matmul")
+    assert_stuck_at_matches_flip("matmul", 0x4001, 4, 33)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_memory_stuck_at_on_a_never_written_word_matches_a_flip(data):
+    workload = data.draw(
+        st.sampled_from(create_target("thor-rd-sim").available_workloads()),
+        label="workload",
+    )
+    words = never_written_words(workload)
+    if not words:
+        return
+    address = data.draw(st.sampled_from(words), label="address")
+    bit = data.draw(st.integers(0, 31), label="bit")
+    cycle = data.draw(st.integers(0, 2_000), label="cycle")
+    assert_stuck_at_matches_flip(workload, address, bit, cycle)

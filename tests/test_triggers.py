@@ -14,7 +14,6 @@ from repro.core.triggers import (
     ReferenceTrace,
     TimeTrigger,
     cycles_in_window,
-    nearest_access_after,
     trigger_from_dict,
 )
 
@@ -173,12 +172,6 @@ class TestWindowHelpers:
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
             cycles_in_window(make_trace(), 8, 20)
-
-    def test_nearest_access_after(self):
-        trace = make_trace()
-        assert nearest_access_after(trace, 0x4000, 0) == 2
-        assert nearest_access_after(trace, 0x4000, 3) == 4
-        assert nearest_access_after(trace, 0x4000, 5) is None
 
 
 class TestMalformedTriggerPayloads:

@@ -15,9 +15,8 @@ import pytest
 
 from conftest import build_campaign, write_result
 from repro.analysis import classify_campaign
-from repro.core.campaign import PlanGenerator
+from repro.core.campaign import PlanGenerator, live_windows
 from repro.core.locations import Location
-from repro.core.preinjection import LivenessAnalysis
 
 WORKLOADS = ["bubble_sort", "crc32"]
 
@@ -53,12 +52,17 @@ def test_e5_preinjection_efficiency(benchmark, bench_session, campaigns):
     plan = benchmark(generate_plan)
     assert len(plan) == 120
 
-    analysis = LivenessAnalysis(trace)
     live_fractions = [
-        analysis.live_fraction(
-            Location(kind="scan", chain="internal", element=f"regs.R{i}", bit=0),
-            (0, trace.duration),
+        sum(
+            end - start
+            for start, end in live_windows(
+                trace,
+                Location(kind="scan", chain="internal", element=f"regs.R{i}", bit=0),
+                0,
+                trace.duration,
+            )
         )
+        / trace.duration
         for i in range(16)
     ]
     mean_live = sum(live_fractions) / len(live_fractions)

@@ -74,8 +74,6 @@ from .liveness import (
     PruneDivergence,
     PrunePlan,
     build_prune_plan,
-    dead_windows,
-    liveness_map,
     resolve_prune,
 )
 from .locations import (
@@ -105,7 +103,6 @@ from .packs import (
     save_pack,
 )
 from .parallel import ProcessExecutor, WorkerFailure
-from .preinjection import LivenessAnalysis, PreInjectionFilter
 from .probes import (
     DEFAULT_PROBE_PERIOD,
     GoldenSnapshots,

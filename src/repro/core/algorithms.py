@@ -87,7 +87,6 @@ from .liveness import (
     executed_schedule,
     fault_entry,
     injection_schedule,
-    liveness_map,
     memo_off_reason,
     replay_row,
     resolve_prune,
@@ -823,9 +822,6 @@ class FaultInjectionAlgorithms:
                     config.termination,
                     self.probe_config,
                 )
-                # The golden pass also records per-element liveness —
-                # the same summary the pruning classifier reasons from.
-                golden.liveness = liveness_map(trace)
             sampler.sample("golden")
         use_checkpoints = checkpoints and self.target.supports_checkpoints
         if use_checkpoints:

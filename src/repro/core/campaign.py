@@ -17,15 +17,17 @@ into a new one; see :func:`merge_campaigns`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .errors import ConfigurationError
 from .faultmodels import FaultModel, TransientBitFlip, model_from_dict
 from .framework import ObservationSpec, Termination
 from .locations import KIND_MEMORY, KIND_SCAN, Location, LocationSelection, LocationSpace
-from .preinjection import LivenessAnalysis, PreInjectionFilter
 from .rng import PCG64, campaign_rng, experiment_seeds
 from .triggers import (
+    END,
     BranchTrigger,
     BreakpointTrigger,
     CallTrigger,
@@ -238,6 +240,13 @@ def experiment_name(campaign: str, index: int) -> str:
     return f"{campaign}/exp{index:05d}"
 
 
+#: Rejection-sampling draws of the pre-injection filter before it falls
+#: back to sampling the live windows directly.
+MAX_ATTEMPTS_PER_SAMPLE = 200
+
+_CYCLE = itemgetter(0)
+
+
 class PlanGenerator:
     """Expands a campaign configuration into concrete experiments.
 
@@ -259,9 +268,6 @@ class PlanGenerator:
         self._validate_selection_for_technique()
         window = config.injection_window or (0, trace.duration)
         self.window = cycles_in_window(trace, *window)
-        self._liveness_filter: PreInjectionFilter | None = None
-        if config.use_preinjection_analysis:
-            self._liveness_filter = PreInjectionFilter(LivenessAnalysis(trace))
 
     def _validate_selection_for_technique(self) -> None:
         technique = self.config.technique
@@ -360,8 +366,8 @@ class PlanGenerator:
         lo, hi = self.window
         strategy = config.time_strategy
         if strategy == TIME_UNIFORM:
-            if self._liveness_filter is not None:
-                location, cycle = self._liveness_filter.sample(self.selection, self.window, rng)
+            if config.use_preinjection_analysis:
+                location, cycle = self._sample_live(rng)
                 return location, TimeTrigger(cycle)
             return self.selection.sample(rng), TimeTrigger(int(rng.integers(lo, hi)))
         if strategy == TIME_CLOCK:
@@ -416,14 +422,12 @@ class PlanGenerator:
         the selection covers memory, otherwise a scan location with the
         access as its (independent) trigger.
         """
-        accesses = [
-            (cycle, kind, addr)
-            for cycle, kind, addr in self.trace.mem_accesses
-            if lo <= cycle < hi
-        ]
-        if not accesses:
+        accesses = self.trace.mem_accesses
+        first = bisect_left(accesses, lo, key=_CYCLE)
+        count = bisect_left(accesses, hi, lo=first, key=_CYCLE) - first
+        if not count:
             raise ConfigurationError("no data accesses inside the injection window")
-        cycle, kind, addr = accesses[int(rng.integers(len(accesses)))]
+        cycle, kind, addr = accesses[first + int(rng.integers(count))]
         if self.selection.regions:
             region = self._region_containing(addr)
             if region is None:
@@ -433,7 +437,7 @@ class PlanGenerator:
                 # covers, falling back to a scan location when none is.
                 in_selection = [
                     access
-                    for access in accesses
+                    for access in accesses[first : first + count]
                     if self._region_containing(access[2]) is not None
                 ]
                 if not in_selection:
@@ -464,12 +468,91 @@ class PlanGenerator:
         return None
 
     def _access_trigger(self, cycle: int, kind: str, addr: int) -> DataAccessTrigger:
-        earlier = sum(
-            1
-            for c, k, a in self.trace.mem_accesses
-            if a == addr and k == kind and c <= cycle
-        )
-        return DataAccessTrigger(address=addr, access=kind, occurrence=earlier)
+        events = self.trace.events(Location(kind=KIND_MEMORY, address=addr, bit=0))
+        earlier = events[: bisect_right(events, cycle, key=_CYCLE)]
+        occurrence = sum(1 for _, access in earlier if access == kind)
+        return DataAccessTrigger(address=addr, access=kind, occurrence=occurrence)
+
+    # -- pre-injection liveness filter (paper §4) -----------------------
+    def _sample_live(self, rng: PCG64) -> tuple[Location, int]:
+        """A (location, cycle) pair that passes the liveness test, by
+        rejection sampling.  When a selection is almost entirely dead in
+        the window, every element of the selection is enumerated
+        deterministically and a cycle is drawn within the live windows
+        of those that have any (weighted by window length).  Always-live
+        elements join that draw with the whole window as their live
+        span, so memory regions keep their probability mass."""
+        lo, hi = self.window
+        for _ in range(MAX_ATTEMPTS_PER_SAMPLE):
+            location = self.selection.sample(rng)
+            cycle = int(rng.integers(lo, hi))
+            if is_live(self.trace, location, cycle):
+                return location, cycle
+        candidates: list[tuple[Location, list[tuple[int, int]]]] = []
+        for info in self.selection.elements:
+            location = Location(
+                kind=KIND_SCAN,
+                chain=info.chain,
+                element=info.name,
+                bit=int(rng.integers(info.width)),
+            )
+            windows = live_windows(self.trace, location, lo, hi)
+            candidates.append((location, [(lo, hi)] if windows is None else windows))
+        # Only addresses the reference run accessed can be live.
+        accessed = sorted({address for _, _, address in self.trace.mem_accesses})
+        for region in self.selection.regions:
+            for address in accessed:
+                if region.base <= address < region.limit:
+                    location = Location(
+                        kind=KIND_MEMORY,
+                        address=address,
+                        bit=int(rng.integers(region.word_bits)),
+                    )
+                    candidates.append(
+                        (location, live_windows(self.trace, location, lo, hi))
+                    )
+        total = sum(end - start for _, windows in candidates for start, end in windows)
+        if not total:
+            raise ConfigurationError(
+                "pre-injection analysis found no live (location, time) pair; "
+                "widen the injection window or the location selection"
+            )
+        offset = int(rng.integers(total))
+        for location, windows in candidates:
+            for start, end in windows:
+                if offset < end - start:
+                    return location, start + offset
+                offset -= end - start
+        raise AssertionError("weighted window sampling fell through")  # pragma: no cover
+
+
+def is_live(trace: ReferenceTrace, location: Location, cycle: int) -> bool:
+    """Would a fault injected at ``cycle`` in ``location`` be consumed —
+    is the next access a read?  Locations the trace cannot reason about
+    report live: the filter only skips provably wasted injections."""
+    access = trace.next_access(location, cycle)
+    return access is None or access[1] == "read"
+
+
+def live_windows(
+    trace: ReferenceTrace, location: Location, lo: int, hi: int
+) -> list[tuple[int, int]] | None:
+    """Ascending half-open windows covering exactly the cycles of
+    ``[lo, hi)`` at which ``location`` is live (:func:`is_live`);
+    ``None`` when the trace cannot reason about the location."""
+    windows: list[tuple[int, int]] = []
+    start = lo
+    while start < hi:
+        access = trace.next_access(location, start)
+        if access is None:
+            return None
+        cycle, kind = access
+        if kind == END:
+            break
+        if kind == "read":
+            windows.append((start, min(cycle + 1, hi)))
+        start = cycle + 1
+    return windows
 
 
 def merge_campaigns(

@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -93,9 +92,9 @@ from .campaign import (
 )
 from .errors import ConfigurationError, GoofiError
 from .faultmodels import IntermittentBitFlip, is_transient
-from .locations import KIND_MEMORY, KIND_SCAN, LocationSpace
+from .locations import KIND_MEMORY, Location, LocationSpace
 from .plugins import technique_method
-from .triggers import ReferenceTrace
+from .triggers import END, ReferenceTrace
 
 #: Fraction of pruned experiments re-simulated by default when
 #: ``--prune`` is given without a rate.
@@ -168,7 +167,7 @@ def resolve_prune(value) -> PruneConfig | None:
 
 
 # ----------------------------------------------------------------------
-# Liveness primitives
+# Injection schedules
 # ----------------------------------------------------------------------
 _CYCLE = itemgetter(0)
 
@@ -202,83 +201,9 @@ def executed_schedule(
     return injection_schedule(spec, trace)
 
 
-def first_event_at_or_after(
-    events: list[tuple[int, str]], cycle: int
-) -> tuple[int, str] | None:
-    """First access event at or after ``cycle`` (an injection at
-    ``cycle`` lands *before* the instruction of that cycle executes).
-    ``events`` is chronological with reads preceding writes at the same
-    cycle, so a read-modify-write boundary reports the read."""
-    index = bisect_left(events, cycle, key=_CYCLE)
-    return events[index] if index < len(events) else None
-
-
-def dead_windows(
-    events: list[tuple[int, str]], duration: int
-) -> list[tuple[int, int]]:
-    """Half-open ``[start, end)`` injection-cycle windows in which a
-    transient flip is overwritten before it can be read: every cycle in
-    the window has a whole-element *write* as its first event at or
-    after it.  The tail past the last access is NOT a dead window — a
-    flip there survives to the final state capture."""
-    windows: list[tuple[int, int]] = []
-    previous = -1
-    for cycle, kind in events:
-        if kind == "write" and cycle > previous:
-            start, end = previous + 1, min(cycle + 1, duration)
-            if start < end:
-                if windows and windows[-1][1] == start:
-                    windows[-1] = (windows[-1][0], end)
-                else:
-                    windows.append((start, end))
-        previous = cycle
-    return windows
-
-
-def liveness_map(trace: ReferenceTrace) -> dict:
-    """Per-element liveness summary of the golden pass: dead
-    (written-before-read) windows and never-read flags per traced
-    register, first-access kind per traced memory word, plus the
-    never-accessed tail implied by omission.
-
-    The maps are keyed by register index / word address.
-    """
-    registers: dict[int, dict] = {}
-    for register in sorted({reg for _, _, reg in trace.reg_accesses}):
-        events = trace.reg_events(register)
-        windows = dead_windows(events, trace.duration)
-        registers[register] = {
-            "accesses": len(events),
-            "never_read": not any(kind == "read" for _, kind in events),
-            "dead_windows": [[start, end] for start, end in windows],
-            "dead_cycles": sum(end - start for start, end in windows),
-        }
-    memory: dict[int, dict] = {}
-    for cycle, kind, address in trace.mem_accesses:
-        entry = memory.setdefault(
-            address, {"first_access": kind, "first_cycle": cycle, "accesses": 0}
-        )
-        entry["accesses"] += 1
-    return {
-        "duration": trace.duration,
-        "registers": registers,
-        "memory": memory,
-    }
-
-
 # ----------------------------------------------------------------------
 # Experiment classification
 # ----------------------------------------------------------------------
-_REGISTER_PREFIX = "regs.R"
-
-
-def _register_of(element: str) -> int | None:
-    """Register index of a ``regs.Rn`` scan element, else ``None``."""
-    if not element.startswith(_REGISTER_PREFIX):
-        return None
-    return int(element.removeprefix(_REGISTER_PREFIX))
-
-
 @dataclass(slots=True)
 class ExperimentClassifier:
     """Classifies planned experiments as prunable (row known by
@@ -336,27 +261,22 @@ class ExperimentClassifier:
         if not is_transient(fault.model):
             return False
         location = fault.location
-        if location.kind == KIND_SCAN:
-            return self._scan_fault_prunable(location.element, cycle)
         if location.kind == KIND_MEMORY:
-            return self._memory_fault_prunable(location.address)
-        return False
+            return self._memory_fault_prunable(location)
+        return self._scan_fault_prunable(location, cycle)
 
-    def _scan_fault_prunable(self, element: str, cycle: int) -> bool:
+    def _scan_fault_prunable(self, location: Location, cycle: int) -> bool:
         """Dead-window or latent-tail test for a transient register
         flip: the next access is a write, or there is none.  Control
         state, caches and pins are always-live."""
-        register = _register_of(element)
-        if register is None:
-            return False
         if not 0 <= cycle < self.trace.duration:
             # At or past the end of the run the ordering against HALT is
             # ambiguous; conservatively simulate.
             return False
-        following = first_event_at_or_after(self.trace.reg_events(register), cycle)
-        return following is None or following[1] == "write"
+        access = self.trace.next_access(location, cycle)
+        return access is not None and access[1] != "read"
 
-    def _memory_fault_prunable(self, address: int) -> bool:
+    def _memory_fault_prunable(self, location: Location) -> bool:
         """Written-before-read test for a pre-runtime image corruption.
         Only sound when the run's memory traffic is fully traced (no
         environment) and the word can never be fetched (data region)."""
@@ -364,10 +284,10 @@ class ExperimentClassifier:
             return False
         if self.config.environment is not None:
             return False
+        address = location.address
         if not any(base <= address < limit for base, limit in self._data_regions):
             return False
-        events = self.trace.mem_events(address)
-        return bool(events) and events[0][1] == "write"
+        return self.trace.next_access(location, 0)[1] == "write"
 
 
 # ----------------------------------------------------------------------
@@ -394,13 +314,9 @@ def synthesize_record(
     for cycle, fault in injection_schedule(spec, trace):
         applied.append(fault_entry(fault, cycle, True))
         location = fault.location
-        register = (
-            _register_of(location.element) if location.kind == KIND_SCAN else None
-        )
-        if register is not None and (
-            first_event_at_or_after(trace.reg_events(register), cycle) is None
-        ):
-            key = f"{location.chain}:{location.element}"
+        access = trace.next_access(location, cycle)
+        if access is not None and access[1] == END:
+            key = location.element_key
             flips[key] = flips.get(key, 0) ^ (1 << location.bit)
     final = reference.state_vector["final"]
     scan = final.get("scan", {})

@@ -122,18 +122,12 @@ class GoldenSnapshots:
 
     ``snapshots[cycle]`` holds one per-element value tuple per
     configured chain, in ``chains`` order; ``duration`` is the cycle at
-    which the fault-free run ended (no probes beyond it).
-
-    ``liveness`` optionally carries the per-element liveness summary of
-    the same golden pass (:func:`repro.core.liveness.liveness_map`):
-    dead written-before-read windows and never-read flags per register,
-    first-access kinds per memory word."""
+    which the fault-free run ended (no probes beyond it)."""
 
     period: int
     chains: tuple[str, ...]
     snapshots: dict[int, tuple[tuple[int, ...], ...]]
     duration: int
-    liveness: dict | None = None
     #: Lazy per-(cycle, chain) ``array('Q')`` packings of ``snapshots``,
     #: built on first probe use (``None`` entries mark unpackable chains).
     _packed: dict = field(default_factory=dict, repr=False)

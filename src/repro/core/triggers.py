@@ -17,9 +17,12 @@ arming them via the scan chains.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import ConfigurationError
+from .locations import KIND_MEMORY, Location
 
 TRIGGER_TIME = "time"
 TRIGGER_BREAKPOINT = "breakpoint"
@@ -27,6 +30,13 @@ TRIGGER_DATA_ACCESS = "data_access"
 TRIGGER_BRANCH = "branch"
 TRIGGER_CALL = "call"
 TRIGGER_CLOCK = "clock"
+
+#: The access kind :meth:`ReferenceTrace.next_access` reports when no
+#: access follows: the run's end.
+END = "end"
+
+_REGISTER_PREFIX = "regs.R"
+_CYCLE = itemgetter(0)
 
 
 @dataclass(slots=True)
@@ -36,7 +46,9 @@ class ReferenceTrace:
 
     ``instructions`` holds one ``(cycle, pc, opname)`` tuple per executed
     instruction; ``mem_accesses`` one ``(cycle, kind, address)`` per data
-    access, ``kind`` being ``"read"`` or ``"write"``.
+    access, ``kind`` being ``"read"`` or ``"write"``.  Both access lists
+    are chronological; an instruction's register reads come before its
+    register writes.
     """
 
     instructions: list[tuple[int, int, str]] = field(default_factory=list)
@@ -50,9 +62,8 @@ class ReferenceTrace:
     _pc_cycles: dict[int, list[int]] | None = None
     _branch_cycles: list[int] | None = None
     _call_cycles: list[int] | None = None
-    _access_cycles: dict[tuple[str, int], list[int]] | None = None
-    _reg_events: dict[int, list[tuple[int, str]]] | None = None
-    _mem_events: dict[int, list[tuple[int, str]]] | None = None
+    #: (cycle, kind) accesses per memory address and per ``regs.Rn``.
+    _events: dict[int | str, list[tuple[int, str]]] | None = None
 
     def pc_cycles(self, pc: int) -> list[int]:
         """Cycles at which the instruction at ``pc`` was executed."""
@@ -77,36 +88,39 @@ class ReferenceTrace:
             ]
         return self._call_cycles
 
-    def access_cycles(self, address: int, kind: str = "any") -> list[int]:
-        """Cycles at which ``address`` was read/written ("access of
-        certain data values" trigger)."""
-        if self._access_cycles is None:
-            index: dict[tuple[str, int], list[int]] = {}
-            for cycle, access_kind, access_addr in self.mem_accesses:
-                index.setdefault((access_kind, access_addr), []).append(cycle)
-                index.setdefault(("any", access_addr), []).append(cycle)
-            self._access_cycles = index
-        return self._access_cycles.get((kind, address), [])
+    def events(self, location: Location) -> list[tuple[int, str]] | None:
+        """Chronological ``(cycle, kind)`` accesses of the memory word or
+        general register holding ``location``.  ``None`` for the scan
+        elements whose data flow the trace does not record: every one
+        but ``regs.Rn`` (control state, caches and pins act at once)."""
+        if self._events is None:
+            index: dict[int | str, list[tuple[int, str]]] = {}
+            for cycle, kind, address in self.mem_accesses:
+                index.setdefault(address, []).append((cycle, kind))
+            registers: dict[int, list[tuple[int, str]]] = {}
+            for cycle, kind, register in self.reg_accesses:
+                registers.setdefault(register, []).append((cycle, kind))
+            for register, events in registers.items():
+                index[f"{_REGISTER_PREFIX}{register}"] = events
+            self._events = index
+        if location.kind == KIND_MEMORY:
+            return self._events.get(location.address, [])
+        if location.element.startswith(_REGISTER_PREFIX):
+            return self._events.get(location.element, [])
+        return None
 
-    def reg_events(self, register: int) -> list[tuple[int, str]]:
-        """Chronological ``(cycle, kind)`` access events of one
-        register, kinds ``"read"``/``"write"``."""
-        if self._reg_events is None:
-            index: dict[int, list[tuple[int, str]]] = {}
-            for cycle, kind, reg in self.reg_accesses:
-                index.setdefault(reg, []).append((cycle, kind))
-            self._reg_events = index
-        return self._reg_events.get(register, [])
-
-    def mem_events(self, address: int) -> list[tuple[int, str]]:
-        """Chronological ``(cycle, kind)`` access events of one memory
-        word."""
-        if self._mem_events is None:
-            index: dict[int, list[tuple[int, str]]] = {}
-            for cycle, kind, addr in self.mem_accesses:
-                index.setdefault(addr, []).append((cycle, kind))
-            self._mem_events = index
-        return self._mem_events.get(address, [])
+    def next_access(self, location: Location, cycle: int) -> tuple[int, str] | None:
+        """The first access to ``location`` at or after ``cycle`` (an
+        injection at ``cycle`` lands before that cycle's instruction
+        executes) as ``(cycle, kind)``; ``(duration, END)`` when none
+        follows; ``None`` when the trace cannot reason about the location
+        (:meth:`events`).  Reads precede writes at the same cycle, so a
+        read-modify-write reports the read."""
+        events = self.events(location)
+        if events is None:
+            return None
+        index = bisect_left(events, cycle, key=_CYCLE)
+        return events[index] if index < len(events) else (self.duration, END)
 
 
 def _nth(cycles: list[int], occurrence: int, what: str) -> int:
@@ -172,7 +186,8 @@ class DataAccessTrigger:
             raise ConfigurationError(f"bad access kind {self.access!r}")
 
     def resolve(self, trace: ReferenceTrace) -> int:
-        cycles = trace.access_cycles(self.address, self.access)
+        events = trace.events(Location(kind=KIND_MEMORY, address=self.address, bit=0))
+        cycles = [cycle for cycle, kind in events if self.access in ("any", kind)]
         return _nth(cycles, self.occurrence, f"{self.access} of 0x{self.address:04X}")
 
     def to_dict(self) -> dict:

@@ -130,22 +130,6 @@ class CacheLine:
             return True  # in sync by construction; nothing mutated it
         return self.payload().bit_count() & 1 == self._parity
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheLine(valid={self._valid}, tag={self._tag}, "
-            f"data={self._data}, parity={self.parity})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CacheLine):
-            return NotImplemented
-        return (self._valid, self._tag, self._data, self.parity) == (
-            other._valid,
-            other._tag,
-            other._data,
-            other.parity,
-        )
-
 
 class Cache:
     """A direct-mapped, parity-protected cache.

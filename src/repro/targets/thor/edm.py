@@ -75,12 +75,3 @@ class DetectionEvent:
             "pc": self.pc,
             "detail": self.detail,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DetectionEvent":
-        return cls(
-            mechanism=Mechanism(data["mechanism"]),
-            cycle=int(data["cycle"]),
-            pc=int(data["pc"]),
-            detail=data.get("detail", ""),
-        )

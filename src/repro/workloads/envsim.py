@@ -207,18 +207,6 @@ class EnvFaultConfig:
                 f"not {self.partial_bits!r}"
             )
 
-    @property
-    def enabled(self) -> bool:
-        return any(
-            p > 0.0
-            for p in (
-                self.drop_probability,
-                self.delay_probability,
-                self.corrupt_probability,
-                self.partial_write_probability,
-            )
-        )
-
     def to_dict(self) -> dict:
         return {
             "drop_probability": self.drop_probability,

@@ -204,6 +204,29 @@ class TestPlanGeneration:
             assert fault.trigger.address == fault.location.address
             fault.trigger.resolve(trace)  # must be resolvable
 
+    def test_data_access_triggers_resolve_inside_the_window(self):
+        """A data-access trigger counts only the earlier accesses of its
+        own kind, so it resolves to the access it was drawn from: inside
+        the injection window, of the trigger's kind, even on a word read
+        and written in turn."""
+        trace = ReferenceTrace(
+            instructions=[(c, c % 30, "ADD") for c in range(40)],
+            mem_accesses=[(c, "read" if c % 2 else "write", 0x4000) for c in range(40)],
+            duration=40,
+        )
+        config = make_config(
+            technique=TECHNIQUE_SWIFI_RUNTIME,
+            location_patterns=("memory:data",),
+            time_strategy=TIME_DATA_ACCESS,
+            injection_window=(0, 20),
+            num_experiments=30,
+        )
+        for spec in PlanGenerator(config, make_space(), trace).generate():
+            trigger = spec.faults[0].trigger
+            cycle = trigger.resolve(trace)
+            assert 0 <= cycle < 20
+            assert (cycle, trigger.access, 0x4000) in trace.mem_accesses
+
     def test_preruntime_faults_trigger_at_zero(self):
         config = make_config(
             technique=TECHNIQUE_SWIFI_PRERUNTIME,

@@ -67,7 +67,12 @@ scifi_patterns = st.lists(
     unique=True,
 )
 
-strategy_names = st.sampled_from(["uniform", "branch", "call", "clock"])
+#: ``task_switch`` draws breakpoint triggers (on the instruction at
+#: TASK_SWITCH_PC); ``data_access`` draws data-access triggers.
+strategy_names = st.sampled_from(
+    ["uniform", "branch", "call", "clock", "data_access", "task_switch"]
+)
+TASK_SWITCH_PC = 5
 
 
 @settings(max_examples=60, deadline=None,
@@ -96,6 +101,7 @@ def test_property_scifi_plans_are_valid(
         flips_per_experiment=flips,
         time_strategy=strategy,
         clock_period=max(10, duration // 5),
+        task_switch_address=TASK_SWITCH_PC if strategy == "task_switch" else None,
         seed=seed,
         use_preinjection_analysis=preinjection and strategy == "uniform",
     )

@@ -15,25 +15,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import make_campaign
-from repro import GoofiSession
+from repro import CampaignConfig, GoofiSession
 from repro.analysis.classify import ReferenceState
 from repro.core import DEFAULT_SPOT_CHECK_RATE
 from repro.core.campaign import ExperimentSpec, PlannedFault
 from repro.core.errors import ConfigurationError
 from repro.core.faultmodels import IntermittentBitFlip, StuckAt, TransientBitFlip
+from repro.core.framework import ObservationSpec, Termination
 from repro.core.liveness import (
     ExperimentClassifier,
     PruneConfig,
     PruneDivergence,
     build_prune_plan,
-    dead_windows,
-    first_event_at_or_after,
-    liveness_map,
     resolve_prune,
     synthesize_record,
 )
-from repro.core.locations import KIND_SCAN, Location
-from repro.core.triggers import ReferenceTrace, TimeTrigger
+from repro.core.locations import KIND_SCAN, Location, LocationSpace, ScanElementInfo
+from repro.core.triggers import END, ReferenceTrace, TimeTrigger
 from repro.db import ExperimentRecord
 from repro.targets.thor import ThorTargetInterface
 
@@ -95,32 +93,67 @@ class TestLivenessPrimitives:
     # A register written at 10, read at 20, written at 30, and never
     # touched again, in a 50-cycle run.
     EVENTS = [(10, "write"), (20, "read"), (30, "write")]
+    R1 = Location(kind=KIND_SCAN, chain="internal", element="regs.R1", bit=0)
 
-    def test_first_event_at_or_after(self):
-        assert first_event_at_or_after(self.EVENTS, 0) == (10, "write")
-        assert first_event_at_or_after(self.EVENTS, 10) == (10, "write")
-        assert first_event_at_or_after(self.EVENTS, 11) == (20, "read")
-        assert first_event_at_or_after(self.EVENTS, 21) == (30, "write")
-        assert first_event_at_or_after(self.EVENTS, 31) is None
+    def trace(self, events, duration=50):
+        return ReferenceTrace(
+            reg_accesses=[(cycle, kind, 1) for cycle, kind in events],
+            duration=duration,
+        )
+
+    def dead_cycles(self, events, duration=50):
+        trace = self.trace(events, duration)
+        return [
+            cycle for cycle in range(duration)
+            if trace.next_access(self.R1, cycle)[1] == "write"
+        ]
+
+    def test_next_access(self):
+        trace = self.trace(self.EVENTS)
+        assert trace.next_access(self.R1, 0) == (10, "write")
+        assert trace.next_access(self.R1, 10) == (10, "write")
+        assert trace.next_access(self.R1, 11) == (20, "read")
+        assert trace.next_access(self.R1, 21) == (30, "write")
+        assert trace.next_access(self.R1, 31) == (50, END)
 
     def test_dead_windows(self):
         # Flips in [0, 11) die at the write of cycle 10; flips in
         # [21, 31) die at the write of cycle 30.  The tail after cycle
         # 30 is NOT dead: a flip there is latent in the final capture.
-        assert dead_windows(self.EVENTS, 50) == [(0, 11), (21, 31)]
+        assert self.dead_cycles(self.EVENTS) == [*range(0, 11), *range(21, 31)]
 
     def test_dead_windows_clamped_to_duration(self):
-        assert dead_windows([(10, "write")], 8) == [(0, 8)]
+        # The write at 10 lies past the end of an 8-cycle run: a fault at
+        # cycle 8 is not pruned, one at cycle 7 is.
+        trace = self.trace([(10, "write")], duration=8)
+        config = CampaignConfig(
+            name="c", target="t", technique="scifi", workload="w",
+            location_patterns=("internal:regs.*",), num_experiments=1,
+            termination=Termination(max_cycles=100), observation=ObservationSpec(),
+        )
+        space = LocationSpace(
+            scan_elements=[ScanElementInfo("internal", "regs.R1", 32, True)],
+            memory_regions=[],
+        )
+        classifier = ExperimentClassifier(config, trace, space)
+
+        def spec(cycle):
+            fault = PlannedFault(self.R1, TimeTrigger(cycle), TransientBitFlip())
+            return ExperimentSpec(name="e", index=0, faults=(fault,), seed=0)
+
+        assert classifier.prunable(spec(7))
+        assert not classifier.prunable(spec(8))
 
     def test_read_before_write_at_same_cycle_blocks(self):
         # Reads precede writes at the same cycle (read-modify-write), so
         # the cycle of an RMW is live.
         events = [(10, "read"), (10, "write")]
-        assert dead_windows(events, 20) == []
+        assert self.trace(events).next_access(self.R1, 10) == (10, "read")
+        assert self.dead_cycles(events, 20) == []
 
     def test_adjacent_windows_merge(self):
         events = [(5, "write"), (11, "write")]
-        assert dead_windows(events, 20) == [(0, 12)]
+        assert self.dead_cycles(events, 20) == list(range(0, 12))
 
 
 class TestClassifier:
@@ -137,16 +170,27 @@ class TestClassifier:
         assert not classifier.enabled
         assert "detail logging" in classifier.disabled_reason
 
-    def test_liveness_map_matches_trace(self, session):
+    def test_next_access_matches_trace(self, session):
         config, trace, space = self.make_inputs(session)
-        payload = liveness_map(trace)
-        assert payload["duration"] == trace.duration
-        for register, entry in payload["registers"].items():
-            assert entry["accesses"] == len(trace.reg_events(register))
-            assert entry["dead_cycles"] == sum(
-                end - start for start, end in entry["dead_windows"]
+        registers = sorted({register for _, _, register in trace.reg_accesses})
+        assert registers
+        for register in registers:
+            location = Location(
+                kind=KIND_SCAN, chain="internal", element=f"regs.R{register}", bit=0
             )
-            assert entry["dead_cycles"] <= trace.duration
+            events = [
+                (cycle, kind)
+                for cycle, kind, reg in trace.reg_accesses
+                if reg == register
+            ]
+            assert trace.events(location) == events
+            for cycle, _kind in events:
+                assert trace.next_access(location, cycle) == next(
+                    event for event in events if event[0] >= cycle
+                )
+            assert trace.next_access(location, events[-1][0] + 1) == (
+                trace.duration, END
+            )
 
     def test_some_experiments_prune_on_fibonacci(self, session):
         from repro.core.campaign import PlanGenerator

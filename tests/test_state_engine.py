@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.locations import KIND_MEMORY, Location
 from repro.core.probes import GoldenSnapshots
 from repro.core.triggers import ReferenceTrace
 from repro.core.plugins import create_target
@@ -215,7 +216,8 @@ class TestReferenceTracePayload:
         assert rebuilt.duration == trace.duration
         # The lazy indices answer identically on the receiving side.
         assert rebuilt.pc_cycles(1) == trace.pc_cycles(1)
-        assert rebuilt.access_cycles(7) == trace.access_cycles(7)
+        memory_word = Location(kind=KIND_MEMORY, address=7, bit=0)
+        assert rebuilt.next_access(memory_word, 1) == trace.next_access(memory_word, 1)
 
 
 class TestGoldenSharedEquivalence:
@@ -228,7 +230,6 @@ class TestGoldenSharedEquivalence:
                 200: ((4, 5, 6), (2**70,)),  # second chain unpackable
             },
             duration=250,
-            liveness={"regs": {3: {"never_read": True}}},
         )
 
     def assert_equivalent(self, golden: GoldenSnapshots, other: GoldenSnapshots):
@@ -257,4 +258,3 @@ class TestGoldenSharedEquivalence:
         golden.packed_chain(100, 0)  # a lazy packing travels along
         via_pickle = pickle.loads(pickle.dumps(golden))
         self.assert_equivalent(golden, via_pickle)
-        assert via_pickle.liveness == golden.liveness

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.core.locations import KIND_MEMORY, KIND_SCAN, Location
 from repro.core.triggers import (
     BranchTrigger,
     BreakpointTrigger,
@@ -16,6 +17,14 @@ from repro.core.triggers import (
     cycles_in_window,
     trigger_from_dict,
 )
+
+
+def reg(index: int) -> Location:
+    return Location(kind=KIND_SCAN, chain="internal", element=f"regs.R{index}", bit=0)
+
+
+def mem(address: int) -> Location:
+    return Location(kind=KIND_MEMORY, address=address, bit=0)
 
 
 def make_trace() -> ReferenceTrace:
@@ -70,31 +79,42 @@ class TestReferenceTraceIndices:
 
     def test_access_cycles_by_kind(self):
         trace = make_trace()
-        assert trace.access_cycles(0x4000, "read") == [2]
-        assert trace.access_cycles(0x4000, "write") == [4]
-        assert trace.access_cycles(0x4000, "any") == [2, 4]
+
+        def resolve(access, occurrence=1):
+            return DataAccessTrigger(
+                address=0x4000, access=access, occurrence=occurrence
+            ).resolve(trace)
+
+        assert resolve("read") == 2
+        assert resolve("write") == 4
+        assert [resolve("any", 1), resolve("any", 2)] == [2, 4]
+        with pytest.raises(ConfigurationError, match="only 1"):
+            resolve("read", 2)
 
     def test_reg_events(self):
         trace = make_trace()
-        assert trace.reg_events(1) == [(0, "write"), (2, "read")]
-        assert trace.reg_events(9) == []
+        assert trace.events(reg(1)) == [(0, "write"), (2, "read")]
+        assert trace.events(reg(9)) == []
+        # Control state, caches and pins: the trace cannot reason about them.
+        assert trace.events(Location(kind=KIND_SCAN, chain="internal",
+                                     element="ctrl.PC", bit=0)) is None
 
     def test_mem_events(self):
-        assert make_trace().mem_events(0x4000) == [(2, "read"), (4, "write")]
+        assert make_trace().events(mem(0x4000)) == [(2, "read"), (4, "write")]
 
     def test_mem_events_index_matches_linear_scan(self):
-        """The lazily built per-address index gives, for every accessed
+        """The lazily built per-location index gives, for every accessed
         address and for one never accessed, the chronological list a
         scan over every access would."""
         trace = make_trace()
         for address in {addr for _, _, addr in trace.mem_accesses} | {0x4999}:
-            assert trace.mem_events(address) == [
+            assert trace.events(mem(address)) == [
                 (cycle, kind)
                 for cycle, kind, addr in trace.mem_accesses
                 if addr == address
             ]
-        assert trace.mem_events(0x4999) == []
-        assert trace._mem_events is not None
+        assert trace.events(mem(0x4999)) == []
+        assert trace._events is not None
 
 
 class TestTriggerResolution:

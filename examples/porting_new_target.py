@@ -9,8 +9,8 @@ implement the abstract methods used by the fault injection algorithms."
 This example does exactly that, self-contained: it defines ACC-8, a toy
 accumulator machine that has nothing to do with the built-in Thor
 simulator, implements the ``TargetSystemInterface`` template for it,
-registers it with the plugin registry, and runs an unmodified SCIFI
-campaign against it.  Not a single line of the generic tool changes.
+registers it with the plugin registry by module path, and runs an
+unmodified SCIFI campaign against it.  Not a single line of the generic tool changes.
 
 Run with::
 
@@ -274,7 +274,11 @@ class Acc8Interface(TargetSystemInterface):
 
 # ----------------------------------------------------------------------
 def main() -> None:
-    register_target("acc8", Acc8Interface)
+    # Register by module path: the registry imports the module on the
+    # first create_target("acc8"), so a campaign on another target never
+    # compiles this one.  A packaged port names its own module, e.g.
+    # "my_board.interface:MyBoardInterface"; this script is __main__.
+    register_target("acc8", f"{__name__}:Acc8Interface")
 
     with GoofiSession(target_name="acc8") as session:
         config = CampaignConfig(

@@ -6,6 +6,11 @@ including the target system it needs: a simulated THOR-RD-like
 microprocessor with scan-chain test logic, parity-protected caches, and
 hardware error-detection mechanisms.
 
+``import repro`` loads the campaign engine, the database and the
+analysis phase; each target, environment simulator and analysis tool
+loads when a campaign or a call first names it (see
+``docs/performance.md``, "Start-up").
+
 Quickstart::
 
     from repro import GoofiSession, CampaignConfig, TransientBitFlip
@@ -73,18 +78,17 @@ __version__ = "1.0.0"
 
 
 def _register_builtins() -> None:
-    """Register the built-in target, techniques, and environment
+    """Register the built-in targets, techniques, and environment
     simulators.  Idempotent: safe across repeated imports and test
-    registry resets."""
-    from .targets.stack.interface import TARGET_NAME as STACK_TARGET_NAME
-    from .targets.stack.interface import create_stack_target
-    from .targets.thor.interface import TARGET_NAME, create_thor_target
-    from .workloads.envsim import DCMotor, WaterTank
-
-    if TARGET_NAME not in _plugins.registered_targets():
-        _plugins.register_target(TARGET_NAME, create_thor_target)
-    if STACK_TARGET_NAME not in _plugins.registered_targets():
-        _plugins.register_target(STACK_TARGET_NAME, create_stack_target)
+    registry resets.  Targets and environments register by module
+    path, so none of their modules loads before a campaign names it."""
+    targets = {
+        _plugins.THOR_RD: "repro.targets.thor.interface:create_thor_target",
+        _plugins.THOR_SM: "repro.targets.stack.interface:create_stack_target",
+    }
+    for name, factory in targets.items():
+        if name not in _plugins.registered_targets():
+            _plugins.register_target(name, factory)
     # Pin-level injection is the SCIFI body on the boundary scan chain.
     technique_bodies = {
         "scifi": "_run_scifi_experiment",
@@ -95,7 +99,10 @@ def _register_builtins() -> None:
     for name, method in technique_bodies.items():
         if name not in _plugins.registered_techniques():
             _plugins.register_technique(name, method)
-    environments = {"dc_motor": DCMotor, "water_tank": WaterTank}
+    environments = {
+        "dc_motor": "repro.workloads.envsim:DCMotor",
+        "water_tank": "repro.workloads.envsim:WaterTank",
+    }
     for name, factory in environments.items():
         if name not in _plugins.registered_environments():
             _plugins.register_environment(name, factory)

@@ -1,44 +1,17 @@
 """Analysis phase: classification, dependability measures, propagation
-analysis, report rendering, and auto-generated analysis software."""
+analysis, report rendering, and auto-generated analysis software.
 
-from .autogen import generate_analysis_script, generate_analysis_sql, run_generated_sql
-from .dependability import (
-    DependabilityModel,
-    Interval,
-    format_dependability_report,
-    model_from_campaign,
-)
-from .gates import (
-    BoundCheck,
-    GateResult,
-    count_critical_failures,
-    evaluate_gate,
-    format_gate_report,
-)
-from .latency import (
-    LatencySample,
-    LatencyStatistics,
-    detection_latencies,
-    format_latency_report,
-)
-from .export import COLUMNS, export_csv, export_csv_file, export_rows
-from .sensitivity import (
-    BitSensitivity,
-    band_rates,
-    bit_sensitivity,
-    format_sensitivity_map,
-)
-from .samplesize import (
-    SequentialPlan,
-    achieved_half_width,
-    required_experiments,
-)
-from .compare import (
-    CampaignComparison,
-    PairedOutcome,
-    compare_campaigns,
-    format_comparison,
-)
+The package imports the modules a campaign's analysis phase runs
+(classification, measures, latency, the campaign and telemetry
+reports).  Every other tool loads on first use of one of its names,
+through :data:`_LAZY` (see :mod:`repro.lazy`): the gate, HTML report,
+trend, comparison, sensitivity, sample-size, export, trace-export,
+generated-analysis, dependability and probe reports, and the
+propagation analysis, which imports :mod:`networkx` (~0.2 s).
+"""
+
+from ..lazy import lazy_names as _lazy_names
+
 from .classify import (
     CATEGORY_DETECTED,
     CATEGORY_ESCAPED,
@@ -49,6 +22,12 @@ from .classify import (
     classify_campaign,
     classify_experiment,
     state_difference,
+)
+from .latency import (
+    LatencySample,
+    LatencyStatistics,
+    detection_latencies,
+    format_latency_report,
 )
 from .measures import (
     GroupBreakdown,
@@ -62,19 +41,6 @@ from .measures import (
     per_time_breakdown,
     proportion,
 )
-from .probes_report import (
-    EdmCoverage,
-    edm_coverage,
-    format_propagation_report,
-    infection_percentiles,
-    propagation_report,
-)
-from .htmlreport import (
-    render_campaign_report,
-    render_index,
-    write_campaign_report,
-    write_index,
-)
 from .reports import campaign_report, format_classification, format_measures
 from .telemetry_report import (
     format_stats_report,
@@ -83,41 +49,67 @@ from .telemetry_report import (
     stats_report,
     throughput_summary,
 )
-from .trends import (
-    TrendCheck,
-    TrendResult,
-    evaluate_trend,
-    format_history,
-    format_trend_report,
-    record_run,
-    run_summary,
-    trend_against_history,
-)
-from .traceexport import build_trace, validate_trace, write_trace
 
-#: Names served lazily from :mod:`repro.analysis.propagation`.  That
-#: module imports :mod:`networkx` at module scope, which costs ~0.2 s —
-#: paid by every ``goofi run`` if imported eagerly here, despite the
-#: graph analysis only being needed by ``goofi analyze --graph`` style
-#: consumers.  A module-level ``__getattr__`` (PEP 562) defers the
-#: import until one of these names is first touched.
-_PROPAGATION_NAMES = {
-    "PropagationAnalysis",
-    "TimelinePoint",
-    "analyze_propagation",
-    "propagation_summary",
+#: Submodule → the names this package serves from it on first use.
+_LAZY = {
+    "autogen": ("generate_analysis_script", "generate_analysis_sql", "run_generated_sql"),
+    "compare": (
+        "CampaignComparison",
+        "PairedOutcome",
+        "compare_campaigns",
+        "format_comparison",
+    ),
+    "dependability": (
+        "DependabilityModel",
+        "Interval",
+        "format_dependability_report",
+        "model_from_campaign",
+    ),
+    "export": ("COLUMNS", "export_csv", "export_csv_file", "export_rows"),
+    "gates": (
+        "BoundCheck",
+        "GateResult",
+        "count_critical_failures",
+        "evaluate_gate",
+        "format_gate_report",
+    ),
+    "htmlreport": (
+        "render_campaign_report",
+        "render_index",
+        "write_campaign_report",
+        "write_index",
+    ),
+    "probes_report": (
+        "EdmCoverage",
+        "edm_coverage",
+        "format_propagation_report",
+        "infection_percentiles",
+        "propagation_report",
+    ),
+    "propagation": (
+        "PropagationAnalysis",
+        "TimelinePoint",
+        "analyze_propagation",
+        "propagation_summary",
+    ),
+    "samplesize": ("SequentialPlan", "achieved_half_width", "required_experiments"),
+    "sensitivity": (
+        "BitSensitivity",
+        "band_rates",
+        "bit_sensitivity",
+        "format_sensitivity_map",
+    ),
+    "traceexport": ("build_trace", "validate_trace", "write_trace"),
+    "trends": (
+        "TrendCheck",
+        "TrendResult",
+        "evaluate_trend",
+        "format_history",
+        "format_trend_report",
+        "record_run",
+        "run_summary",
+        "trend_against_history",
+    ),
 }
 
-__all__ = [name for name in dir() if not name.startswith("_")] + sorted(
-    _PROPAGATION_NAMES
-)
-
-
-def __getattr__(name: str):
-    if name in _PROPAGATION_NAMES:
-        from . import propagation
-
-        value = getattr(propagation, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __all__ = _lazy_names(__name__, _LAZY, globals())

@@ -28,25 +28,19 @@ from .. import (
     Termination,
     TransientBitFlip,
 )
-from ..analysis import (
-    campaign_report,
-    generate_analysis_script,
-    generate_analysis_sql,
-    run_generated_sql,
-    stats_report,
-)
+from ..analysis import campaign_report, stats_report
 from ..logconfig import setup_logging
 from ..core import (
     DEFAULT_CHECKPOINT_CAPACITY,
     DEFAULT_PROBE_PERIOD,
     DEFAULT_RESOURCE_PERIOD,
     DEFAULT_SPOT_CHECK_RATE,
+    THOR_RD,
     registered_targets,
     registered_techniques,
 )
 from ..core.errors import GoofiError
 from ..db import DatabaseError, GoofiDatabase
-from ..targets.thor.interface import TARGET_NAME
 
 
 def _add_db_argument(parser: argparse.ArgumentParser) -> None:
@@ -59,7 +53,7 @@ def _add_db_argument(parser: argparse.ArgumentParser) -> None:
 
 def _session(args: argparse.Namespace, target: str | None = None) -> GoofiSession:
     """A session on ``target`` (default: the default target)."""
-    return GoofiSession(args.db, target_name=target or TARGET_NAME)
+    return GoofiSession(args.db, target_name=target or THOR_RD)
 
 
 def _campaign_session(args: argparse.Namespace, campaign: str | None) -> GoofiSession:
@@ -148,22 +142,18 @@ def cmd_campaign_create(args: argparse.Namespace) -> int:
         observation = session.default_observation(args.workload)
         environment = None
         if args.environment:
-            session.target.init_test_card()
-            session.target.load_workload(args.workload)
-            program = session.target.card.loaded_workload  # type: ignore[attr-defined]
             environment = {
                 "name": args.environment,
                 "params": {
-                    "sensor_addr": program.symbol("sensor"),
-                    "actuator_addr": program.symbol("actuator"),
+                    "sensor_addr": session.workload_symbol(args.workload, "sensor"),
+                    "actuator_addr": session.workload_symbol(args.workload, "actuator"),
                 },
             }
         task_switch_address = None
         if args.time_strategy == "task_switch":
-            session.target.init_test_card()
-            session.target.load_workload(args.workload)
-            program = session.target.card.loaded_workload  # type: ignore[attr-defined]
-            task_switch_address = program.symbol(args.task_switch_symbol)
+            task_switch_address = session.workload_symbol(
+                args.workload, args.task_switch_symbol
+            )
         config = CampaignConfig(
             name=args.name,
             target=args.target,
@@ -218,12 +208,9 @@ def cmd_campaign_merge(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # packs / gate
 # ----------------------------------------------------------------------
-def _setup_pack_campaign(session: GoofiSession, args: argparse.Namespace):
-    """Load the pack named by ``args.pack``, derive its campaign (with
-    the optional ``--experiments`` override), and store it."""
-    from ..core import CampaignConfig, load_pack
-
-    pack = load_pack(args.pack)
+def _setup_pack_campaign(session: GoofiSession, pack, args: argparse.Namespace):
+    """Derive ``pack``'s campaign (with the optional ``--experiments``
+    override) on a session opened on the pack's target, and store it."""
     config = pack.resolve_campaign(session, name=getattr(args, "name", None))
     experiments = getattr(args, "experiments", None)
     if experiments:
@@ -231,7 +218,7 @@ def _setup_pack_campaign(session: GoofiSession, args: argparse.Namespace):
             {**config.to_dict(), "num_experiments": experiments}
         )
     session.setup_campaign(config)
-    return pack, config
+    return config
 
 
 def cmd_pack_validate(args: argparse.Namespace) -> int:
@@ -240,7 +227,8 @@ def cmd_pack_validate(args: argparse.Namespace) -> int:
     pack = load_pack(args.pack)
     declared = pack.bounds.to_dict()
     print(
-        f"pack {pack.name!r} is valid: workload {pack.campaign['workload']!r}, "
+        f"pack {pack.name!r} is valid: target {pack.target!r}, "
+        f"workload {pack.campaign['workload']!r}, "
         f"technique {pack.campaign['technique']!r}, "
         f"{pack.sample_plan.resolve()} experiments, "
         f"{len(declared)} bound group(s) declared"
@@ -257,9 +245,11 @@ def cmd_pack_show(args: argparse.Namespace) -> int:
 
 def cmd_gate(args: argparse.Namespace) -> int:
     from ..analysis import evaluate_gate, format_gate_report
+    from ..core import load_pack
 
-    with _session(args) as session:
-        pack, config = _setup_pack_campaign(session, args)
+    pack = load_pack(args.pack)
+    with _session(args, pack.target) as session:
+        config = _setup_pack_campaign(session, pack, args)
         if pack.bounds.empty:
             print(
                 f"goofi: error: pack {pack.name!r} declares no dependability "
@@ -357,11 +347,18 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    with _campaign_session(args, args.campaign) as session:
+    pack = None
+    if args.pack:
+        from ..core import load_pack
+
+        pack = load_pack(args.pack)
+        session = _session(args, pack.target)
+    else:
+        session = _campaign_session(args, args.campaign)
+    with session:
         campaign_name = args.campaign
-        if args.pack:
-            _pack, config = _setup_pack_campaign(session, args)
-            campaign_name = config.name
+        if pack is not None:
+            campaign_name = _setup_pack_campaign(session, pack, args).name
         elif campaign_name is None:
             print(
                 "goofi: error: give a stored campaign name or --pack FILE",
@@ -493,6 +490,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     with _campaign_session(args, args.campaign) as session:
         if args.sql:
+            from ..analysis import generate_analysis_sql, run_generated_sql
+
             sql = generate_analysis_sql(args.campaign)
             for rows in run_generated_sql(session.db, sql):
                 for row in rows:
@@ -617,6 +616,8 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
 
 
 def cmd_autogen(args: argparse.Namespace) -> int:
+    from ..analysis import generate_analysis_script, generate_analysis_sql
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sql_path = out_dir / f"analyze_{args.campaign}.sql"
@@ -664,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_list.set_defaults(func=cmd_target_list)
     t_desc = target_sub.add_parser("describe", help="show a target's configuration")
     _add_db_argument(t_desc)
-    t_desc.add_argument("--target", default="thor-rd-sim")
+    t_desc.add_argument("--target", default=THOR_RD)
     t_desc.add_argument("--json", action="store_true")
     t_desc.set_defaults(func=cmd_target_describe)
 
@@ -677,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     create = campaign_sub.add_parser("create", help="define and store a campaign")
     _add_db_argument(create)
     create.add_argument("--name", required=True)
-    create.add_argument("--target", default="thor-rd-sim")
+    create.add_argument("--target", default=THOR_RD)
     create.add_argument(
         "--technique", default="scifi", choices=sorted(registered_techniques()) or None
     )

@@ -1,6 +1,13 @@
 """GOOFI core: generic fault-injection algorithms, the target-interface
 framework, campaign management, fault models, triggers, locations, and
-the pre-injection analysis."""
+the pre-injection analysis.
+
+The fault-pack loader (:mod:`repro.core.packs`) is served on first use
+of one of its names (see :mod:`repro.lazy`): a campaign run from a
+stored configuration never needs it.
+"""
+
+from ..lazy import lazy_names as _lazy_names
 
 from .algorithms import (
     CampaignResult,
@@ -84,6 +91,8 @@ from .locations import (
     ScanElementInfo,
 )
 from .plugins import (
+    THOR_RD,
+    THOR_SM,
     create_environment,
     create_target,
     register_environment,
@@ -92,15 +101,6 @@ from .plugins import (
     registered_environments,
     registered_targets,
     registered_techniques,
-)
-from .packs import (
-    DependabilityBounds,
-    FaultPack,
-    SamplePlan,
-    load_pack,
-    loads_pack,
-    replay_function,
-    save_pack,
 )
 from .parallel import ProcessExecutor, WorkerFailure
 from .probes import (
@@ -151,4 +151,17 @@ from .triggers import (
     trigger_from_dict,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: Submodule → the names this package serves from it on first use.
+_LAZY = {
+    "packs": (
+        "DependabilityBounds",
+        "FaultPack",
+        "SamplePlan",
+        "load_pack",
+        "loads_pack",
+        "replay_function",
+        "save_pack",
+    ),
+}
+
+__getattr__, __all__ = _lazy_names(__name__, _LAZY, globals())

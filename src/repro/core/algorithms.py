@@ -145,12 +145,17 @@ class CampaignResult:
     resource_samples: int | None = None
 
 
-def fold_engine_stats(metrics, target: TargetSystemInterface) -> None:
+def fold_engine_stats(
+    metrics, target: TargetSystemInterface, since: dict | None = None
+) -> None:
     """Add ``target``'s execution-engine counters to a telemetry
-    registry as ``engine.*`` counters."""
+    registry as ``engine.*`` counters: what they gained since the
+    ``since`` snapshot of :meth:`execution_stats`, when one is given, so
+    that set-up runs on the same target do not count."""
+    since = since or {}
     for key, value in target.execution_stats().items():
         if key != "cycles":  # point-in-time, not a counter — summing it lies
-            metrics.inc(f"engine.{key}", value)
+            metrics.inc(f"engine.{key}", value - since.get(key, 0))
 
 
 class _DatabaseSink(EventSink):
@@ -394,6 +399,27 @@ class InlineExecutor:
         )
 
 
+def campaign_environment(config: CampaignConfig, faulty: bool = True):
+    """A new environment simulator for ``config`` (``None`` when it
+    declares none), with its environment-boundary faults armed when
+    ``faulty``.  An unknown simulator, or params or faults it refuses,
+    raise :class:`ConfigurationError`."""
+    if config.environment is None:
+        return None
+    environment = create_environment(
+        config.environment["name"], config.environment.get("params")
+    )
+    faults = config.environment.get("faults")
+    if faulty and faults is not None:
+        from ..workloads.envsim import wrap_environment
+
+        try:
+            environment = wrap_environment(environment, faults)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
+    return environment
+
+
 class FaultInjectionAlgorithms:
     """Generic fault-injection campaign algorithms.
 
@@ -428,6 +454,9 @@ class FaultInjectionAlgorithms:
         #: a shared no-op) unless ``run_campaign(telemetry=...)`` turned
         #: it on or a worker process installed a local instance.
         self.telemetry = NULL_TELEMETRY
+        #: The target's execution-engine counters when the current run
+        #: started; its telemetry reports what they gained since.
+        self._engine_start: dict = {}
         #: The current run's campaign event bus (:mod:`repro.core.events`),
         #: the one way observation records leave a campaign: the database
         #: subscribes to it for the run, the ``events=`` sinks receive
@@ -591,6 +620,7 @@ class FaultInjectionAlgorithms:
         config = self.read_campaign_data(campaign_name)
         self.experiment_runner(config.technique)  # fail before any work
         self.target.set_fast_path(fast)
+        self._engine_start = self.target.execution_stats()
         tele = resolve_telemetry(telemetry)
         if profile and not tele.enabled:
             # The hotspot summary is persisted with the telemetry
@@ -1086,7 +1116,7 @@ class FaultInjectionAlgorithms:
         the snapshot under the ``profile`` key."""
         metrics = self.telemetry.metrics
         sampler.fold_into(metrics)
-        fold_engine_stats(metrics, self.target)
+        fold_engine_stats(metrics, self.target, self._engine_start)
         for key, value in (ingest.checkpoint_stats or {}).items():
             metrics.inc(f"checkpoint.cache.{key}", value)
         metrics.set_gauge("workers", workers)
@@ -1119,17 +1149,7 @@ class FaultInjectionAlgorithms:
         """
         target = self.target
         target.init_test_card()
-        environment = None
-        if config.environment is not None:
-            environment = create_environment(
-                config.environment["name"], config.environment.get("params")
-            )
-            faults = config.environment.get("faults")
-            if faulty_environment and faults is not None:
-                from ..workloads.envsim import wrap_environment
-
-                environment = wrap_environment(environment, faults)
-        target.set_environment(environment)
+        target.set_environment(campaign_environment(config, faulty_environment))
         target.load_workload(config.workload)
 
     def _arm_target(self, config: CampaignConfig, schedule, span=NULL_SPAN) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import ConfigurationError
@@ -410,24 +411,20 @@ class PlanGenerator:
                 address=address, occurrence=occurrence
             )
         if strategy == TIME_DATA_ACCESS:
-            return self._sample_data_access_trigger(rng, lo, hi)
+            return self._sample_data_access_trigger(rng)
         raise ConfigurationError(f"unknown time strategy {strategy!r}")  # pragma: no cover
 
-    def _sample_data_access_trigger(
-        self, rng: PCG64, lo: int, hi: int
-    ) -> tuple[Location, Trigger]:
+    def _sample_data_access_trigger(self, rng: PCG64) -> tuple[Location, Trigger]:
         """Pick an accessed address and trigger on one of its accesses.
 
         The injected location is the accessed memory word itself when
         the selection covers memory, otherwise a scan location with the
         access as its (independent) trigger.
         """
-        accesses = self.trace.mem_accesses
-        first = bisect_left(accesses, lo, key=_CYCLE)
-        count = bisect_left(accesses, hi, lo=first, key=_CYCLE) - first
-        if not count:
+        accesses = self._window_accesses
+        if not accesses:
             raise ConfigurationError("no data accesses inside the injection window")
-        cycle, kind, addr = accesses[first + int(rng.integers(count))]
+        cycle, kind, addr = accesses[int(rng.integers(len(accesses)))]
         if self.selection.regions:
             region = self._region_containing(addr)
             if region is None:
@@ -435,11 +432,7 @@ class PlanGenerator:
                 # (e.g. a program-area fetch when only the data area is
                 # selected): re-draw among the accesses the selection
                 # covers, falling back to a scan location when none is.
-                in_selection = [
-                    access
-                    for access in accesses[first : first + count]
-                    if self._region_containing(access[2]) is not None
-                ]
+                in_selection = self._accesses_in_selection
                 if not in_selection:
                     if self.selection.elements:
                         scan_only = LocationSelection(
@@ -459,6 +452,26 @@ class PlanGenerator:
             )
             return location, trigger
         return self.selection.sample(rng), self._access_trigger(cycle, kind, addr)
+
+    # The window and the selection are fixed for the generator's life,
+    # so the data-access strategy builds its candidate lists once.
+    @cached_property
+    def _window_accesses(self) -> list[tuple[int, str, int]]:
+        """The reference run's data accesses inside the window."""
+        accesses = self.trace.mem_accesses
+        lo, hi = self.window
+        first = bisect_left(accesses, lo, key=_CYCLE)
+        return accesses[first : bisect_left(accesses, hi, lo=first, key=_CYCLE)]
+
+    @cached_property
+    def _accesses_in_selection(self) -> list[tuple[int, str, int]]:
+        """The window's data accesses that touch a selected memory
+        region, in trace order."""
+        return [
+            access
+            for access in self._window_accesses
+            if self._region_containing(access[2]) is not None
+        ]
 
     def _region_containing(self, address: int):
         """The selected memory region containing ``address``, if any."""

@@ -298,6 +298,13 @@ class TargetSystemInterface(abc.ABC):
         """The ``TargetSystemData.configJson`` payload: location space,
         chain layouts, memory map, workloads, supported fault models."""
 
+    def workload_symbol(self, name: str) -> int:
+        """The address of symbol ``name`` in the loaded workload (an
+        environment's sensor or actuator cell, a task-switch
+        dispatcher).  A target whose workloads carry no symbol table
+        keeps this default, which refuses."""
+        raise TargetError(f"{self.target_name} workloads have no symbol table")
+
     # ------------------------------------------------------------------
     # Extension building blocks (added to the Framework by the
     # techniques that need them, as §2.1 prescribes)

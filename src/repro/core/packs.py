@@ -20,6 +20,7 @@ Example document::
     pack: control-dcmotor
     description: DC-motor control loop under register faults
     campaign:
+      target: thor-rd-sim          # optional; the default
       technique: scifi
       workload: control_unprotected
       locations: [internal:regs.*]
@@ -56,7 +57,12 @@ from .campaign import (
 )
 from .errors import ConfigurationError
 from .faultmodels import FaultModel, TransientBitFlip, model_from_dict
-from .plugins import registered_environments, registered_techniques
+from .plugins import (
+    THOR_RD,
+    registered_environments,
+    registered_targets,
+    registered_techniques,
+)
 
 #: Latency-bound keys accepted in ``bounds.max_latency`` and how each is
 #: read off a :class:`repro.analysis.latency.LatencyStatistics`.
@@ -256,6 +262,7 @@ class DependabilityBounds:
 # The pack itself
 # ----------------------------------------------------------------------
 _CAMPAIGN_KEYS = {
+    "target",
     "technique",
     "workload",
     "locations",
@@ -306,6 +313,11 @@ class FaultPack:
                     f"pack campaign section {campaign!r} is missing "
                     f"required key {required!r}"
                 )
+        if self.target not in registered_targets():
+            raise ConfigurationError(
+                f"pack declares unknown target {self.target!r}; "
+                f"registered: {', '.join(registered_targets())}"
+            )
         technique = campaign["technique"]
         if technique not in registered_techniques():
             raise ConfigurationError(
@@ -361,6 +373,12 @@ class FaultPack:
             )
 
     # ------------------------------------------------------------------
+    @property
+    def target(self) -> str:
+        """The target the pack's campaign runs on (``thor-rd-sim`` when
+        the campaign section names none)."""
+        return self.campaign.get("target", THOR_RD)
+
     def fault_model(self) -> FaultModel:
         payload = self.campaign.get("fault_model")
         if payload is None:
@@ -423,9 +441,15 @@ class FaultPack:
     def resolve_campaign(self, session, name: str | None = None) -> CampaignConfig:
         """Derive the concrete :class:`CampaignConfig` this pack
         describes, using ``session`` (a
-        :class:`repro.session.GoofiSession`) to size the watchdog
-        budget, choose the observation selection, and resolve
-        environment symbol names to addresses."""
+        :class:`repro.session.GoofiSession` on the pack's
+        :attr:`target`) to size the watchdog budget, choose the
+        observation selection, and resolve environment symbol names to
+        addresses."""
+        if session.target.target_name != self.target:
+            raise ConfigurationError(
+                f"pack {self.name!r} runs on target {self.target!r}, but the "
+                f"session is on {session.target.target_name!r}"
+            )
         campaign = self.campaign
         workload = campaign["workload"]
         max_cycles = campaign.get("max_cycles")
@@ -447,14 +471,12 @@ class FaultPack:
             params = dict(self.environment.get("params") or {})
             sensor_symbol = self.environment.get("sensor_symbol")
             actuator_symbol = self.environment.get("actuator_symbol")
-            if sensor_symbol or actuator_symbol:
-                session.target.init_test_card()
-                session.target.load_workload(workload)
-                program = session.target.card.loaded_workload
-                if sensor_symbol:
-                    params["sensor_addr"] = program.symbol(sensor_symbol)
-                if actuator_symbol:
-                    params["actuator_addr"] = program.symbol(actuator_symbol)
+            if sensor_symbol:
+                params["sensor_addr"] = session.workload_symbol(workload, sensor_symbol)
+            if actuator_symbol:
+                params["actuator_addr"] = session.workload_symbol(
+                    workload, actuator_symbol
+                )
             environment = {"name": self.environment["name"], "params": params}
             faults = self.environment.get("faults")
             if faults is not None:
@@ -462,7 +484,7 @@ class FaultPack:
         window = campaign.get("injection_window")
         return CampaignConfig(
             name=name or self.name,
-            target=session.target.target_name,
+            target=self.target,
             technique=campaign["technique"],
             workload=workload,
             location_patterns=tuple(campaign["locations"]),

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .analysis import CampaignClassification, campaign_report, classify_campaign
 from .core import (
+    THOR_RD,
     CampaignConfig,
     CampaignResult,
     FaultInjectionAlgorithms,
@@ -31,9 +32,8 @@ from .core import (
     register_target_system,
     store_campaign,
 )
+from .core.algorithms import campaign_environment
 from .db import GoofiDatabase
-from .targets.thor.interface import TARGET_NAME
-from .workloads import is_loop_workload
 
 
 class GoofiSession:
@@ -43,7 +43,7 @@ class GoofiSession:
     def __init__(
         self,
         db_path: str | Path = ":memory:",
-        target_name: str = TARGET_NAME,
+        target_name: str = THOR_RD,
         target: TargetSystemInterface | None = None,
         progress: ProgressReporter | None = None,
     ) -> None:
@@ -104,23 +104,40 @@ class GoofiSession:
         self, workload: str, slack_factor: float = 4.0, max_iterations: int = 200
     ) -> Termination:
         """A watchdog budget derived from the workload's fault-free
-        duration (the usual way time-out values are chosen)."""
-        self.target.init_test_card()
-        self.target.load_workload(workload)
+        duration (the usual way time-out values are chosen), measured
+        by one plain run: the budget needs the run's length only, not
+        its trace."""
+        from .workloads.library import is_loop_workload
+
+        target = self.target
+        target.init_test_card()
+        target.load_workload(workload)
         probe = Termination(
             max_cycles=2_000_000,
             max_iterations=max_iterations if is_loop_workload(workload) else None,
         )
-        info, _trace = self.target.record_trace(probe)
+        target.run_workload()
+        info = target.wait_for_termination(probe)
         return Termination(
             max_cycles=max(100, int(info.cycle * slack_factor)),
             max_iterations=probe.max_iterations,
         )
 
+    def workload_symbol(self, workload: str, name: str) -> int:
+        """The address of symbol ``name`` in ``workload`` as loaded on
+        the session's target (an environment's sensor or actuator
+        cell, a task-switch dispatcher)."""
+        target = self.target
+        target.init_test_card()
+        target.load_workload(workload)
+        return target.workload_symbol(name)
+
     def setup_campaign(self, config: CampaignConfig) -> None:
         """Store a campaign configuration (``CampaignData`` row), once its
         location patterns resolve on its target with its workload
-        loaded: a pattern that matches nothing raises
+        loaded and its environment simulator builds: a pattern that
+        matches nothing, an unknown simulator, or params or faults the
+        simulator refuses raise
         :class:`~repro.core.errors.ConfigurationError` here, before
         anything is stored, not when the campaign first runs."""
         target = (
@@ -131,6 +148,7 @@ class GoofiSession:
         target.init_test_card()
         target.load_workload(config.workload)
         target.location_space().select(list(config.location_patterns))
+        campaign_environment(config)
         store_campaign(self.db, config)
 
     def merge_into_campaign(self, names: list[str], new_name: str) -> CampaignConfig:

@@ -288,6 +288,14 @@ class SimulatedTarget(TargetSystemInterface):
         ]
         return LocationSpace(scan_elements=elements, memory_regions=self._memory_regions())
 
+    def workload_symbol(self, name: str) -> int:
+        if self._loaded is None:
+            raise TargetError("no workload loaded")
+        try:
+            return self._loaded.symbol(name)
+        except KeyError as exc:
+            raise TargetError(exc.args[0]) from None
+
     # ------------------------------------------------------------------
     # Faults and observation
     # ------------------------------------------------------------------

@@ -4,14 +4,15 @@ The set-up phase "selects the target system workload" by name; the
 target interface resolves the name through this library.  Sources come
 from :mod:`repro.workloads.programs` (self-terminating benchmarks) and
 :mod:`repro.workloads.control` (infinite-loop control applications);
-images are assembled once and cached.
+images are assembled once and cached.  The thor-rd assembler is
+imported by the first :func:`load`, so asking for a name's kind
+(:func:`is_loop_workload`) does not compile the thor-rd target.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from ..targets.thor.assembler import Assembler, Program
 from .control import CONTROL_SOURCES
 from .programs import PROGRAM_SOURCES
 
@@ -27,8 +28,11 @@ def workload_names() -> list[str]:
 
 
 @lru_cache(maxsize=None)
-def load(name: str) -> Program:
-    """Assemble (and cache) the named workload."""
+def load(name: str):
+    """Assemble (and cache) the named workload: a
+    :class:`repro.targets.thor.assembler.Program`."""
+    from ..targets.thor.assembler import Assembler
+
     try:
         source = SOURCES[name]
     except KeyError:

@@ -423,6 +423,28 @@ class TestDataAccessRegionResolution:
             fault = spec.faults[0]
             assert data.base <= fault.location.address < data.limit
 
+    def test_in_selection_accesses_are_filtered_once(self, monkeypatch):
+        """Experiments whose first draw misses the selection re-draw
+        from one list built per generator, not one filter each."""
+        calls = []
+        containing = PlanGenerator._region_containing
+        monkeypatch.setattr(
+            PlanGenerator,
+            "_region_containing",
+            lambda self, address: calls.append(address) or containing(self, address),
+        )
+        config = make_config(
+            technique=TECHNIQUE_SWIFI_RUNTIME,
+            location_patterns=("memory:data",),
+            time_strategy=TIME_DATA_ACCESS,
+            num_experiments=200,
+        )
+        trace = self.make_mixed_trace()
+        PlanGenerator(config, make_space(), trace).generate()
+        # One check per experiment's draw and per re-draw, plus one
+        # filter pass over the window's 100 accesses.
+        assert len(calls) <= 2 * 200 + len(trace.mem_accesses)
+
     def test_word_bits_come_from_the_containing_region(self):
         space = LocationSpace(
             scan_elements=[],

@@ -23,7 +23,8 @@ from repro.core import (
     replay_function,
     save_pack,
 )
-from repro.core.errors import AnalysisError, ConfigurationError
+from repro.core.errors import AnalysisError, ConfigurationError, TargetError
+from repro.db import GoofiDatabase
 
 
 def pack_dict(**overrides) -> dict:
@@ -530,3 +531,83 @@ class TestPackCLI:
         )
         assert code in (0, 2)  # small samples may legitimately miss the floor
         assert "campaign 'demo'" in capsys.readouterr().out
+
+
+class TestThorSmPack:
+    """A pack's campaign section may name its target; thor-sm packs
+    validate, resolve on a thor-sm session, and gate through the CLI."""
+
+    def sm_pack_dict(self, **bounds) -> dict:
+        return pack_dict(
+            pack="sm-demo",
+            campaign={
+                "target": "thor-sm",
+                "technique": "swifi_preruntime",
+                "workload": "s_checksum",
+                "locations": ["memory:data"],
+                "seed": 7,
+            },
+            sample_plan={"experiments": 20},
+            bounds=bounds or {"min_coverage": 0.0, "coverage_basis": "estimate"},
+        )
+
+    def write_pack(self, tmp_path, **bounds) -> str:
+        path = tmp_path / "sm-pack.yaml"
+        save_pack(FaultPack.from_dict(self.sm_pack_dict(**bounds)), path)
+        return str(path)
+
+    def test_validates_and_round_trips(self):
+        pack = FaultPack.from_dict(self.sm_pack_dict())
+        assert pack.target == "thor-sm"
+        assert FaultPack.from_dict(pack.to_dict()) == pack
+        assert FaultPack.from_dict(pack_dict()).target == "thor-rd-sim"
+
+    def test_unknown_target_rejected(self):
+        data = self.sm_pack_dict()
+        data["campaign"]["target"] = "pdp11"
+        with pytest.raises(ConfigurationError, match="unknown target 'pdp11'"):
+            FaultPack.from_dict(data)
+
+    def test_resolves_on_its_target_only(self, session):
+        pack = FaultPack.from_dict(self.sm_pack_dict())
+        with pytest.raises(ConfigurationError, match="runs on target 'thor-sm'"):
+            pack.resolve_campaign(session)
+        with GoofiSession(target_name="thor-sm") as sm_session:
+            config = pack.resolve_campaign(sm_session)
+            assert config.target == "thor-sm"
+            sm_session.setup_campaign(config)
+            assert sm_session.db.list_campaigns() == ["sm-demo"]
+
+    def test_gate_and_run_on_thor_sm(self, tmp_path, capsys):
+        from repro.cli.main import main
+
+        db = str(tmp_path / "sm.db")
+        assert main(["pack", "validate", self.write_pack(tmp_path)]) == 0
+        assert "target 'thor-sm'" in capsys.readouterr().out
+        assert main(["gate", self.write_pack(tmp_path), "--db", db, "--quiet"]) == 0
+        assert "PASSED" in capsys.readouterr().out
+        with GoofiDatabase(db) as stored:
+            assert stored.load_campaign("sm-demo").target_name == "thor-sm"
+        tightened = self.write_pack(tmp_path, min_coverage=0.999)
+        code = main(["gate", tightened, "--db", db, "--name", "tight", "--quiet"])
+        assert code == 2
+        assert "FAILED" in capsys.readouterr().out
+        code = main(["run", "--pack", self.write_pack(tmp_path), "--db", db,
+                     "--name", "ran", "--quiet"])
+        assert code == 0
+        assert "20/20 experiments" in capsys.readouterr().out
+
+
+class TestWorkloadSymbols:
+    """Pack and CLI symbol lookups go through a target-neutral accessor."""
+
+    @pytest.mark.parametrize(
+        "target, workload, symbol",
+        [("thor-rd-sim", "control_protected", "sensor"), ("thor-sm", "s_checksum", "acc")],
+    )
+    def test_resolves_on_both_targets(self, target, workload, symbol):
+        with GoofiSession(target_name=target) as session:
+            address = session.workload_symbol(workload, symbol)
+            assert address == session.target._loaded.symbol(symbol)
+            with pytest.raises(TargetError, match="no symbol 'missing'"):
+                session.workload_symbol(workload, "missing")
